@@ -1,5 +1,8 @@
 """Exact verification and filtered search for the equation n! + 1 = m**2."""
 
+# Set before the submodule imports: cli_reporting imports it from here.
+__version__ = "0.1.0"
+
 from .conditions import (
     FactorStructure,
     NotASolutionError,
@@ -59,5 +62,3 @@ from .search_engine import (
     run,
     save_checkpoint,
 )
-
-__version__ = "0.1.0"

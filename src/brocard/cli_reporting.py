@@ -6,8 +6,8 @@ long scan can be tailed. Solution lines are re-verified from scratch at
 emit time (factorial recomputed, square compared) as a last defense
 against engine bugs.
 
-Exit codes: 0 success, 1 usage error, 2 internal or resource error,
-3 checkpoint mismatch.
+Exit codes: 0 success, 1 usage error or an unreadable report line on
+resume, 2 internal or resource error, 3 checkpoint mismatch.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import traceback
 from dataclasses import dataclass
 from typing import IO, Iterable
 
-from . import conditions
+from . import __version__, conditions
 from .epsilon_lab import (
     DEFAULT_NINE_RUN_CAP,
     epsilon_digits,
@@ -38,8 +38,6 @@ from .search_engine import (
     run,
 )
 
-__version__ = "0.1.0"
-
 # k values misquoted in circulated tabulations of these rows; the table
 # command prints the computed k and flags the discrepancy.
 MISQUOTED_K = {8: 26, 11: 6371}
@@ -47,6 +45,10 @@ MISQUOTED_K = {8: 26, 11: 6371}
 
 class ReportIntegrityError(Exception):
     """A report line failed its independent re-verification."""
+
+
+class ReportFormatError(Exception):
+    """An existing report to be appended to holds a line that is not a report line."""
 
 
 @dataclass(frozen=True)
@@ -101,14 +103,24 @@ class ReportWriter:
     def open(cls, path: str | None, append: bool = False) -> "ReportWriter":
         if path is None:
             return cls(sys.stdout, owns_stream=False)
-        seen: list[str] = []
+        kinds: list[str] = []
         if append and os.path.exists(path):
-            with open(path, "r", encoding="ascii") as fh:
-                seen = [raw for raw in (r.strip() for r in fh) if raw]
+            with open(path, "rb") as fh:
+                for lineno, raw in enumerate(fh, 1):
+                    raw = raw.strip()
+                    if not raw:
+                        continue
+                    try:
+                        kinds.append(json.loads(raw)["kind"])
+                    except (ValueError, TypeError, KeyError):
+                        # a torn write leaves a prefix of a line, never valid JSON
+                        raise ReportFormatError(
+                            f"{path}: line {lineno} is not a report line: {raw[:40]!r}"
+                        ) from None
         stream = open(path, "a" if append else "w", encoding="ascii", newline="")
         writer = cls(stream, owns_stream=True)
-        for raw in seen:
-            writer._count(json.loads(raw)["kind"])
+        for kind in kinds:
+            writer._count(kind)
         return writer
 
     def _count(self, kind: str) -> None:
@@ -205,8 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", metavar="PATH", help="checkpoint file to write")
     p.add_argument("--resume", action="store_true",
                    help="resume from the checkpoint (report is appended)")
-    p.add_argument("--threads", type=_positive_int, default=1,
-                   help="worker slices over the pool (default %(default)s)")
     p.add_argument("--report", metavar="PATH",
                    help="JSONL report path (default stdout)")
     p.set_defaults(handler=_cmd_search)
@@ -256,7 +266,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
         max_n=args.max_n,
         pool_size=args.primes,
         checkpoint_path=args.checkpoint,
-        worker_count=args.threads,
         resume=args.resume,
     )
     writer = ReportWriter.open(args.report, append=args.resume)
@@ -375,6 +384,9 @@ def dispatch(argv: list[str] | None = None) -> int:
     except ReportIntegrityError as exc:
         print(f"report integrity: {exc}", file=sys.stderr)
         return 2
+    except ReportFormatError as exc:
+        print(f"report: {exc}", file=sys.stderr)
+        return 1
     except CheckpointError as exc:
         print(f"checkpoint: {exc}", file=sys.stderr)
         return 3

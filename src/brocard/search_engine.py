@@ -1,16 +1,16 @@
 """Resumable filtered scan for solutions of n! + 1 = m**2.
 
 The scan advances a factorial residue stream over a fixed prime pool and
-applies the quadratic-residue filter at every n. Survivors, which are
-vanishingly rare for a healthy pool, get an exact verdict; survivors
-beyond the exact-verification ceiling are reported UNRESOLVED rather
-than silently dropped. Progress is checkpointed to a small text file so
+applies the quadratic-residue filter (`qr_filter.ResidueFilter`) at every
+n. Survivors, which are vanishingly rare for a healthy pool, get an exact
+verdict; survivors beyond the exact-verification ceiling are reported
+UNRESOLVED rather than silently dropped. Progress is checkpointed to a small text file so
 a scan can be killed and resumed without rework.
 
 Determinism is a hard requirement: for a fixed pool, the reported
-stream and all counters are identical no matter how the pool is sliced
-across workers. Slices are merged in pool order and the first rejecting
-prime in pool order is the one recorded.
+stream, all counters and every checkpoint are identical whether the scan
+ran in one pass or was stopped and resumed. The first rejecting prime in
+pool order is the one recorded.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ import os
 import re
 import time
 import zlib
-from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -32,15 +30,13 @@ from .factorial_engine import (
     build_prime_pool,
     initial_state,
 )
+from .qr_filter import ResidueFilter
 
 DEFAULT_POOL_SIZE = 48
 DEFAULT_CHECKPOINT_INTERVAL = 100_000
 
 _CHECKPOINT_MAGIC = b"BROCARD-CHECKPOINT v1"
 _CRC_RE = re.compile(rb"crc32=([0-9a-f]{8})\n")
-
-# Worker slicing granularity; blocks never cross a checkpoint boundary.
-_BLOCK = 2048
 
 EventCallback = Callable[[str, int, "int | None"], None]
 
@@ -72,7 +68,6 @@ class SearchConfig:
     checkpoint_path: str | None = None
     checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL
     exact_verify_ceiling: int = EXACT_FACTORIAL_CEILING
-    worker_count: int = 1
     resume: bool = False
     # Halt after this n (checkpoint saved), leaving the scan resumable.
     # Used to exercise resume paths without killing the process.
@@ -187,31 +182,6 @@ def load_checkpoint(path: str, pool: PrimePool) -> FactorialState:
 # scanning
 
 
-def _scan_chunk(residues, primes, halves, n_lo, n_hi):
-    """Advance one pool slice over [n_lo, n_hi], recording slice verdicts.
-
-    Mutates residues in place. Verdict per n: the slice-local index of
-    the first rejecting prime, or -1 when the whole slice passes.
-    """
-    verdicts = []
-    width = len(primes)
-    for n in range(n_lo, n_hi + 1):
-        for i in range(width):
-            residues[i] = residues[i] * n % primes[i]
-        rej = -1
-        if n >= 2:
-            for i in range(width):
-                p = primes[i]
-                a = residues[i] + 1
-                if a == p:
-                    continue
-                if pow(a, halves[i], p) == p - 1:
-                    rej = i
-                    break
-        verdicts.append(rej)
-    return verdicts
-
-
 def run(config: SearchConfig, on_event: EventCallback | None = None) -> SearchSummary:
     """Execute (or resume) a scan and return what this segment found.
 
@@ -220,8 +190,6 @@ def run(config: SearchConfig, on_event: EventCallback | None = None) -> SearchSu
     """
     if config.max_n < 0:
         raise ValueError("max_n must be non-negative")
-    if config.worker_count < 1:
-        raise ValueError("worker_count must be positive")
     if config.checkpoint_interval < 1:
         raise ValueError("checkpoint_interval must be positive")
     if config.resume and not config.checkpoint_path:
@@ -238,14 +206,10 @@ def run(config: SearchConfig, on_event: EventCallback | None = None) -> SearchSu
 
     start = state.n
     stop = config.max_n if config.stop_n is None else min(config.stop_n, config.max_n)
-    primes = list(pool.primes)
-    halves = [(p - 1) >> 1 for p in primes]
-    width = len(primes)
 
     solutions: list[tuple[int, int]] = []
     unresolved: list[int] = []
     survivors = 0
-    rejections: Counter[int] = Counter()
 
     def settle_survivor(n: int) -> None:
         nonlocal survivors
@@ -263,69 +227,14 @@ def run(config: SearchConfig, on_event: EventCallback | None = None) -> SearchSu
         elif on_event:
             on_event("survivor", n, None)
 
-    def maybe_checkpoint(residues: list[int], n: int) -> None:
-        if config.checkpoint_path and n > start:
-            if n % config.checkpoint_interval == 0 or (n == stop and n < config.max_n):
-                save_checkpoint(FactorialState(n=n, residues=list(residues)), pool,
-                                config.checkpoint_path)
-
-    if config.worker_count == 1:
-        residues = list(state.residues)
-        checkpointing = config.checkpoint_path is not None
-        for n in range(start + 1, stop + 1):
-            for i in range(width):
-                residues[i] = residues[i] * n % primes[i]
-            if n < 2:
-                continue
-            rejecting = None
-            for i in range(width):
-                p = primes[i]
-                a = residues[i] + 1
-                if a == p:
-                    continue
-                if pow(a, halves[i], p) == p - 1:
-                    rejecting = p
-                    break
-            if rejecting is None:
-                settle_survivor(n)
-            else:
-                rejections[rejecting] += 1
-            if checkpointing:
-                maybe_checkpoint(residues, n)
-    else:
-        workers = min(config.worker_count, width)
-        bounds = [width * j // workers for j in range(workers + 1)]
-        chunks = [list(state.residues[a:b]) for a, b in zip(bounds, bounds[1:])]
-        pchunks = [primes[a:b] for a, b in zip(bounds, bounds[1:])]
-        hchunks = [halves[a:b] for a, b in zip(bounds, bounds[1:])]
-        interval = config.checkpoint_interval
-        with ThreadPoolExecutor(max_workers=workers) as pool_ex:
-            cur = start
-            while cur < stop:
-                boundary = (cur // interval + 1) * interval
-                hi = min(cur + _BLOCK, stop, boundary)
-                futures = [
-                    pool_ex.submit(_scan_chunk, chunks[j], pchunks[j], hchunks[j],
-                                   cur + 1, hi)
-                    for j in range(workers)
-                ]
-                verdicts = [f.result() for f in futures]
-                for off, n in enumerate(range(cur + 1, hi + 1)):
-                    if n < 2:
-                        continue
-                    rejecting = None
-                    for j in range(workers):
-                        v = verdicts[j][off]
-                        if v >= 0:
-                            rejecting = primes[bounds[j] + v]
-                            break
-                    if rejecting is None:
-                        settle_survivor(n)
-                    else:
-                        rejections[rejecting] += 1
-                cur = hi
-                flat = [r for chunk in chunks for r in chunk]
-                maybe_checkpoint(flat, cur)
+    kernel = ResidueFilter(pool, state, stop)
+    interval = config.checkpoint_interval
+    while kernel.n < stop:
+        # Segments end at checkpoint boundaries, where the residues are saved.
+        hi = min(stop, (kernel.n // interval + 1) * interval) if config.checkpoint_path else stop
+        kernel.scan_to(hi, settle_survivor)
+        if config.checkpoint_path and (hi % interval == 0 or hi < config.max_n):
+            save_checkpoint(kernel.state(), pool, config.checkpoint_path)
 
     return SearchSummary(
         scanned_range=(max(2, start + 1), stop),
@@ -334,6 +243,6 @@ def run(config: SearchConfig, on_event: EventCallback | None = None) -> SearchSu
         solutions=solutions,
         survivors=survivors,
         unresolved=unresolved,
-        rejections_by_prime=dict(sorted(rejections.items())),
+        rejections_by_prime=dict(sorted(kernel.rejections.items())),
         wall_time_s=time.perf_counter() - started,
     )

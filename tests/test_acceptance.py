@@ -9,13 +9,14 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections import Counter
 
 from brocard.conditions import verify
 from brocard.epsilon_lab import check_f_monotone, epsilon_digits, nine_run
 from brocard.exact_arith import decimal_str, isqrt, legendre
 from brocard.factorial_engine import advance, build_prime_pool, initial_state
 from brocard.poly_system import LatticePoint, eval_system, solve_window
-from brocard.qr_filter import passes
+from brocard.qr_filter import ResidueFilter, passes
 from brocard.cli_reporting import ReportWriter, dispatch
 from brocard.search_engine import SearchConfig, run
 
@@ -74,7 +75,7 @@ def test_criterion_2_search_to_1e6(tmp_path):
           and elapsed < 60.0)
     _verdict(2, ok, t0,
              f"solutions n = {sorted(solutions)}, unresolved = {unresolved}, "
-             f"single-threaded scan of 999999 values")
+             f"scan of 999999 values")
 
 
 def test_criterion_3_theorem_suite_to_2000():
@@ -157,31 +158,45 @@ def test_criterion_6_polynomial_window():
 def test_criterion_7_filter_soundness_to_2000():
     t0 = time.perf_counter()
     pool = build_prime_pool(2000, 48)
+    # the scan's kernel over the whole range, as `search` runs it
+    kernel = ResidueFilter(pool, initial_state(pool), 2000)
+    kernel_survivors: list[int] = []
+    kernel.scan_to(2000, kernel_survivors.append)
+    # reference: `passes` at every n on the stepped residue stream
     state = initial_state(pool)
     wrong_rejections = []
     solution_symbols_ok = True
+    reference_survivors = []
+    reference_rejections: Counter[int] = Counter()
     for _ in range(2000):
         state = advance(state, pool)
         if state.n < 2:
             continue
         outcome = passes(state, pool)
+        if outcome.passed:
+            reference_survivors.append(state.n)
+        else:
+            reference_rejections[outcome.rejecting_prime] += 1
         if state.n in KNOWN_SOLUTIONS:
-            if not outcome.passed:
+            if state.n not in kernel_survivors:
                 wrong_rejections.append(state.n)
             symbols = [legendre((r + 1) % p, p)
                        for r, p in zip(state.residues, pool.primes)]
             if not all(s in (0, 1) for s in symbols):
                 solution_symbols_ok = False
-        elif outcome.passed:
+    for n in kernel_survivors:
+        if n not in KNOWN_SOLUTIONS:
             # survivor among non-solutions: must genuinely be a near miss
-            f1 = math.factorial(state.n) + 1
+            f1 = math.factorial(n) + 1
             if isqrt(f1) ** 2 == f1:
-                wrong_rejections.append(state.n)
+                wrong_rejections.append(n)
+    agrees = (kernel_survivors == reference_survivors
+              and kernel.rejections == reference_rejections)
     elapsed = time.perf_counter() - t0
-    ok = not wrong_rejections and solution_symbols_ok and elapsed < 30.0
+    ok = not wrong_rejections and solution_symbols_ok and agrees and elapsed < 30.0
     _verdict(7, ok, t0,
              "no sound value rejected over n = 2..2000; all 48 symbols "
-             "for n in {4, 5, 7} are 0 or +1")
+             f"for n in {{4, 5, 7}} are 0 or +1; kernel agrees with passes = {agrees}")
 
 
 def test_criterion_8_resume_byte_identical(tmp_path):

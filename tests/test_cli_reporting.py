@@ -162,6 +162,7 @@ def test_usage_errors_exit_1(capsys):
     assert dispatch(["verify", "-3"]) == 1
     assert dispatch(["epsilon", "7", "--digits", "0"]) == 1
     assert dispatch(["nonsense"]) == 1
+    assert dispatch(["search", "--max-n", "10", "--threads", "2"]) == 1  # flag removed
     err = capsys.readouterr().err
     assert "usage:" in err
 
@@ -169,6 +170,22 @@ def test_usage_errors_exit_1(capsys):
 def test_usage_error_resume_without_checkpoint(capsys):
     assert dispatch(["search", "--max-n", "10", "--resume"]) == 1
     assert "--resume requires --checkpoint" in capsys.readouterr().err
+
+
+def test_resume_with_torn_report_line_exits_1(tmp_path, capsys):
+    report, ck = tmp_path / "scan.jsonl", str(tmp_path / "scan.ck")
+    args = ["search", "--max-n", "1000", "--primes", "8", "--checkpoint", ck,
+            "--report", str(report)]
+    assert dispatch(args) == 0
+    lines = report.read_bytes().splitlines(keepends=True)
+    torn = b"".join(lines[:-1]) + lines[-1][:7]  # killed mid-write
+    report.write_bytes(torn)
+    capsys.readouterr()
+    assert dispatch(args + ["--resume"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"{report}: line {len(lines)} is not a report line" in err
+    assert report.read_bytes() == torn
 
 
 def test_semantic_usage_errors(capsys):

@@ -1,14 +1,20 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brocard.exact_arith import legendre
 from brocard.factorial_engine import (
+    FactorialState,
     advance,
     build_prime_pool,
     initial_state,
 )
-from brocard.qr_filter import passes
+from brocard.qr_filter import ResidueFilter, nonresidue_bits, passes, table_pays
 
 
 def _state_at(pool, n):
@@ -18,15 +24,47 @@ def _state_at(pool, n):
     return state
 
 
+def _exact_state(pool, n):
+    f = math.factorial(n)
+    return FactorialState(n=n, residues=[f % p for p in pool.primes])
+
+
+def _reference(pool, lo, hi):
+    """n -> first rejecting prime in pool order, or None, for n = lo .. hi,
+    from `passes` on residues of the exact n!."""
+    verdicts = {}
+    f = math.factorial(lo - 1)
+    for n in range(lo, hi + 1):
+        f *= n
+        if n >= 2:
+            state = FactorialState(n=n, residues=[f % p for p in pool.primes])
+            verdicts[n] = passes(state, pool).rejecting_prime
+    return verdicts
+
+
+def _kernel_verdicts(pool, start, stop):
+    """n -> rejecting prime or None for n = start + 1 .. stop, one n per call."""
+    kernel = ResidueFilter(pool, _exact_state(pool, start), stop)
+    verdicts = {}
+    for n in range(start + 1, stop + 1):
+        before = Counter(kernel.rejections)
+        survived = []
+        kernel.scan_to(n, survived.append)
+        moved = kernel.rejections - before
+        if n >= 2:
+            assert len(survived) + sum(moved.values()) == 1
+            verdicts[n] = None if survived else next(iter(moved))
+    return verdicts
+
+
 def test_single_prime_examples():
     pool = build_prime_pool(10, 1)  # {11}
-    out = passes(_state_at(pool, 6), pool)  # 6! + 1 = 721; (721 | 11) = -1
+    # 6! + 1 = 721; (721 | 11) = -1.  4! + 1 = 25 is 3 mod 11, a residue (5^2)
+    assert _kernel_verdicts(pool, 3, 6) == {4: None, 5: None, 6: 11}
+    out = passes(_state_at(pool, 6), pool)
     assert not out.passed
     assert out.rejecting_prime == 11
     assert out.symbols_evaluated == 1
-    out = passes(_state_at(pool, 4), pool)  # 25 is 3 mod 11, a residue (5^2)
-    assert out.passed
-    assert out.rejecting_prime is None
 
 
 def test_zero_symbol_passes():
@@ -34,12 +72,38 @@ def test_zero_symbol_passes():
     pool = build_prime_pool(4, 2)  # {5, 7}
     state = _state_at(pool, 4)
     assert state.residues[0] == 4  # 24 mod 5; 24 + 1 wraps to 0
-    out = passes(state, pool)
-    assert out.passed
+    assert passes(state, pool).passed
+    assert _kernel_verdicts(pool, 3, 4) == {4: None}
+
+
+# (max_n, n, rank) with n! + 1 divisible by the pool prime at that rank
+# (8-prime pool) while every earlier prime sees a residue: the zero symbol
+# is evaluated, and must pass.
+ZERO_SYMBOLS = [(4, 4, 0), (5, 5, 1), (11, 9, 2), (31, 23, 3), (23, 23, 5),
+                (1008, 1008, 0)]  # 1009 is prime: 1008! == -1 by Wilson
+
+
+@pytest.mark.parametrize("max_n,n,rank", ZERO_SYMBOLS)
+@pytest.mark.parametrize("one_step", [True, False])
+def test_zero_symbol_passes_in_every_tier(max_n, n, rank, one_step):
+    pool = build_prime_pool(max_n, 8)
+    p = pool.primes[rank]
+    value = math.factorial(n) + 1
+    assert value % p == 0
+    assert all(legendre(value % q, q) == 1 for q in pool.primes[:rank])
+    assert passes(_exact_state(pool, n), pool).symbols_evaluated > rank
+    # one step from n - 1 and the whole range from 0: for 1009 the pow
+    # side and the table side of the front
+    start = n - 1 if one_step else 0
+    if p == 1009:
+        assert table_pays(p, 0, n - start) == (start == 0)
+    assert _kernel_verdicts(pool, start, n) == _reference(pool, start + 1, n)
 
 
 def test_solutions_always_pass():
     pool = build_prime_pool(100, 48)
+    verdicts = _kernel_verdicts(pool, 0, 100)
+    assert [n for n, v in verdicts.items() if v is None] == [4, 5, 7]
     for n in (4, 5, 7):
         out = passes(_state_at(pool, n), pool)
         assert out.passed
@@ -49,6 +113,7 @@ def test_solutions_always_pass():
 def test_first_rejecting_prime_in_pool_order():
     # oracle: evaluate every symbol directly on n! + 1
     pool = build_prime_pool(60, 10)
+    kernel = _kernel_verdicts(pool, 0, 60)
     state = initial_state(pool, with_exact=True)
     for _ in range(60):
         state = advance(state, pool)
@@ -64,16 +129,77 @@ def test_first_rejecting_prime_in_pool_order():
         else:
             assert out.passed
             assert out.symbols_evaluated == len(pool.primes)
+        assert kernel[state.n] == (rejectors[0] if rejectors else None)
 
 
 def test_soundness_no_false_rejection_small():
     # any rejected n must genuinely have non-square n! + 1
     pool = build_prime_pool(300, 8)
+    kernel = _kernel_verdicts(pool, 0, 300)
     state = initial_state(pool)
     for _ in range(300):
         state = advance(state, pool)
         if state.n < 2:
             continue
-        if not passes(state, pool).passed:
+        assert passes(state, pool).rejecting_prime == kernel[state.n]
+        if kernel[state.n] is not None:
             f1 = math.factorial(state.n) + 1
             assert math.isqrt(f1) ** 2 != f1
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101, 1009, 30011])
+def test_nonresidue_bits_match_euler(p):
+    bits = nonresidue_bits(p)
+    assert len(bits) == (p + 7) // 8
+    for r in range(p):
+        assert bits[r >> 3] >> (r & 7) & 1 == (legendre((r + 1) % p, p) == -1)
+
+
+def test_table_side_follows_segment_length():
+    # the benchmark's three search shapes: a 10^6 scan and a 3 * 10^4
+    # settle build tables for every front prime; resuming the last 10^4 n
+    # of a 10^6 scan does not
+    scan = build_prime_pool(1_000_000, 3).primes
+    settle = build_prime_pool(30_600, 3).primes
+    assert all(table_pays(p, i, 1_000_000) for i, p in enumerate(scan))
+    assert all(table_pays(p, i, 30_600) for i, p in enumerate(settle))
+    assert not any(table_pays(p, i, 10_000) for i, p in enumerate(scan))
+    # whatever the span, no table past the size cap
+    assert not table_pays(2**31 - 1, 0, 2**32)
+
+
+@settings(max_examples=80, deadline=None)
+@given(size=st.sampled_from([1, 2, 3, 4, 8, 48]),
+       max_n=st.integers(1, 2500),
+       side=st.sampled_from(["table", "pow"]),
+       data=st.data())
+def test_kernel_matches_reference(size, max_n, side, data):
+    """The kernel over a segment starting anywhere, cut into several
+    scan_to calls as checkpoints cut it, gives per prime the same
+    rejections and the same survivors as `passes` on exact residues, and
+    its state is n! mod p at every cut."""
+    pool = build_prime_pool(max_n, size)
+    p0 = pool.primes[0]
+    start = data.draw(st.integers(0, max_n - 1), label="start")
+    # spans within reach of the pow side, or long enough for a table
+    spans = [s for s in range(1, min(max_n - start, 400) + 1)
+             if table_pays(p0, 0, s) == (side == "table")]
+    if not spans:
+        return
+    stop = start + data.draw(st.sampled_from(spans), label="span")
+    cuts = sorted(set(data.draw(st.lists(st.integers(start + 1, stop), max_size=4),
+                                label="cuts")) | {stop})
+
+    kernel = ResidueFilter(pool, _exact_state(pool, start), stop)
+    reference = _reference(pool, start + 1, stop)
+    lo = start
+    for hi in cuts:
+        before = Counter(kernel.rejections)
+        survived = []
+        kernel.scan_to(hi, survived.append)
+        expected = [reference[n] for n in range(max(lo + 1, 2), hi + 1)]
+        assert survived == [n for n in range(max(lo + 1, 2), hi + 1) if reference[n] is None]
+        assert kernel.rejections - before == Counter(p for p in expected if p is not None)
+        assert kernel.state().residues == _exact_state(pool, hi).residues
+        assert kernel.n == hi
+        lo = hi

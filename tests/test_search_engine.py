@@ -64,20 +64,7 @@ def test_run_unresolved_beyond_exact_ceiling():
     assert ("unresolved", 7, None) in events
 
 
-def test_run_deterministic_across_worker_counts():
-    base_summary, base_events = _collect(SearchConfig(max_n=2000))
-    for workers in (2, 4, 8, 64):
-        summary, events = _collect(SearchConfig(max_n=2000, worker_count=workers))
-        assert events == base_events
-        assert summary.solutions == base_summary.solutions
-        assert summary.survivors == base_summary.survivors
-        assert summary.unresolved == base_summary.unresolved
-        assert summary.rejections_by_prime == base_summary.rejections_by_prime
-
-
 def test_run_validates_config():
-    with pytest.raises(ValueError):
-        run(SearchConfig(max_n=10, worker_count=0))
     with pytest.raises(ValueError):
         run(SearchConfig(max_n=10, resume=True))
     with pytest.raises(ValueError):
@@ -190,6 +177,30 @@ def test_checkpoint_written_at_interval(tmp_path):
     assert state.n == 80  # last interval boundary inside the scan
     for r, p in zip(state.residues, pool.primes):
         assert r == math.factorial(80) % p
+
+
+@pytest.mark.parametrize("max_n,count,n", [(3000, 48, 2000), (3000, 2, 1500),
+                                          (200_000, 48, 150_000)])
+def test_kernel_checkpoint_matches_exact_residues(tmp_path, max_n, count, n):
+    # the scan's checkpoint at n, from one pass (table front) and from a
+    # short resumed segment (pow front, tail rebuilt by CRT), is the file
+    # written from n! mod p computed exactly
+    pool = build_prime_pool(max_n, count)
+    exact = str(tmp_path / "exact.ck")
+    f = math.factorial(n)
+    save_checkpoint(FactorialState(n=n, residues=[f % p for p in pool.primes]), pool, exact)
+    scanned = str(tmp_path / "scan.ck")
+    if n < 100_000:
+        run(SearchConfig(max_n=max_n, pool_size=count, checkpoint_path=scanned,
+                         checkpoint_interval=n, stop_n=n))
+    else:
+        back = n - 2000
+        g = math.factorial(back)
+        save_checkpoint(FactorialState(n=back, residues=[g % p for p in pool.primes]),
+                        pool, scanned)
+        run(SearchConfig(max_n=max_n, pool_size=count, checkpoint_path=scanned,
+                         checkpoint_interval=n, resume=True, stop_n=n))
+    assert (tmp_path / "scan.ck").read_bytes() == (tmp_path / "exact.ck").read_bytes()
 
 
 def test_stop_n_halts_with_checkpoint(tmp_path):
