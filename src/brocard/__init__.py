@@ -11,6 +11,9 @@ from .conditions import (
     candidate_m,
     defect,
     factor_structure,
+    factorial_mod,
+    is_certificate,
+    legendre_certificate,
     verify,
 )
 from .epsilon_lab import (
@@ -41,6 +44,7 @@ from .factorial_engine import (
     factorial_exact,
     initial_state,
     is_factorial,
+    primes_above,
 )
 from .poly_system import (
     LatticePoint,

@@ -3,7 +3,8 @@
 Report lines are one JSON object per line with a fixed key order and no
 whitespace, so two runs over the same range are byte-identical and a
 long scan can be tailed. Solution lines are re-verified from scratch at
-emit time (factorial recomputed, square compared) as a last defense
+emit time (factorial recomputed, square compared), and a survivor's
+rejecting prime is re-checked as its certificate, as a last defense
 against engine bugs.
 
 Exit codes: 0 success, 1 usage error or an unreadable report line on
@@ -84,6 +85,11 @@ def _check_solution_line(line: ReportLine) -> None:
         raise ReportIntegrityError(f"solution line fails m^2 == n! + 1: {line}")
 
 
+def _check_survivor_line(line: ReportLine) -> None:
+    if line.n is None or not conditions.is_certificate(line.n, line.rejecting_prime):
+        raise ReportIntegrityError(f"rejecting_prime does not certify the survivor: {line}")
+
+
 class ReportWriter:
     """Incremental JSONL writer with running counters.
 
@@ -98,6 +104,7 @@ class ReportWriter:
         self.solutions = 0
         self.survivors = 0
         self.unresolved = 0
+        self.summarized = False
 
     @classmethod
     def open(cls, path: str | None, append: bool = False) -> "ReportWriter":
@@ -132,16 +139,21 @@ class ReportWriter:
         elif kind == "unresolved":
             self.unresolved += 1
             self.survivors += 1
+        elif kind == "summary":
+            self.summarized = True
 
     def emit(self, line: ReportLine) -> None:
         if line.kind == "solution":
             _check_solution_line(line)
+        elif line.kind == "survivor" and line.rejecting_prime is not None:
+            _check_survivor_line(line)
         self._count(line.kind)
         self._stream.write(render_line(line) + "\n")
         self._stream.flush()
 
-    def emit_event(self, kind: str, n: int, m: int | None = None) -> None:
-        self.emit(ReportLine(kind=kind, n=n, m=m))
+    def emit_event(self, kind: str, n: int, m: int | None = None,
+                   rejecting_prime: int | None = None) -> None:
+        self.emit(ReportLine(kind=kind, n=n, m=m, rejecting_prime=rejecting_prime))
 
     def write_summary(self, scanned: int) -> None:
         counters = {
@@ -269,6 +281,11 @@ def _cmd_search(args: argparse.Namespace) -> int:
         resume=args.resume,
     )
     writer = ReportWriter.open(args.report, append=args.resume)
+    if writer.summarized:
+        writer.close()
+        print(f"search: {args.report} already holds a summary, the scan is complete; "
+              "nothing resumed", file=sys.stderr)
+        return 0
     try:
         summary = run(config, on_event=writer.emit_event)
         if summary.completed:

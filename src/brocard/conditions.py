@@ -4,14 +4,26 @@ With k = isqrt(n!), the only candidate is m = k + 1, and n is a solution
 exactly when n! - k**2 == 2k, equivalently n! == k(k + 2). No square
 roots of non-squares are ever materialized; every predicate is an
 integer identity.
+
+Most n need none of that. If n! + 1 is a quadratic nonresidue modulo some
+odd prime q > n, it is not a square; n! mod q comes from Wilson's theorem
+without building n!, and the rejecting prime q is a certificate anyone
+can re-check with one pow.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
-from .exact_arith import isqrt
-from .factorial_engine import EXACT_FACTORIAL_CEILING, factorial_exact
+from .exact_arith import isqrt, legendre
+from .factorial_engine import EXACT_FACTORIAL_CEILING, factorial_exact, primes_above
+
+# Primes above n that the scan tries for a certificate before it falls
+# back to exact arithmetic. Each rejects a non-solution with probability
+# about 1/2, so a non-solution outlasts them with probability 2**-64.
+CERTIFICATE_PRIMES = 64
 
 
 class NotASolutionError(ValueError):
@@ -20,14 +32,18 @@ class NotASolutionError(ValueError):
 
 @dataclass(frozen=True)
 class VerifyReport:
+    """Verdict for one n. A certificate verdict carries rejecting_prime
+    and leaves the exact fields (k, m_candidate, k_even, defect) None."""
+
     n: int
-    k: int
-    m_candidate: int
-    k_even: bool
+    k: int | None
+    m_candidate: int | None
+    k_even: bool | None
     product_matches: bool
-    defect: int
+    defect: int | None
     is_solution: bool
     m: int | None
+    rejecting_prime: int | None = None
 
 
 @dataclass(frozen=True)
@@ -60,8 +76,70 @@ def defect(n: int, *, ceiling: int = EXACT_FACTORIAL_CEILING) -> int:
     return d
 
 
-def verify(n: int, *, ceiling: int = EXACT_FACTORIAL_CEILING) -> VerifyReport:
-    """Full exact verdict for a single n."""
+def factorial_mod(n: int, q: int) -> int:
+    """n! mod a prime q > n, without n!.
+
+    Wilson's theorem, (q - 1)! = -1 (mod q), leaves
+    n! = -((n + 1)(n + 2) ... (q - 1))**-1 (mod q): q - 1 - n products.
+    """
+    if not 0 <= n < q:
+        raise ValueError("need 0 <= n < q")
+    return -pow(math.prod(range(n + 1, q)) % q, -1, q) % q
+
+
+def residue_symbol(n: int, q: int) -> int:
+    """The Legendre symbol (n! + 1 | q) for an odd prime q > n."""
+    return legendre((factorial_mod(n, q) + 1) % q, q)
+
+
+def legendre_certificate(n: int, budget: int = CERTIFICATE_PRIMES) -> int | None:
+    """The first of the budget smallest odd primes q > n with (n! + 1 | q) = -1.
+
+    None when none of them rejects: always for a solution, and with
+    probability about 2**-budget otherwise. Symbol 0 (q divides n! + 1)
+    does not reject.
+    """
+    for q in itertools.islice(primes_above(n), budget):
+        if residue_symbol(n, q) == -1:
+            return q
+    return None
+
+
+def is_certificate(n: int, q: int) -> bool:
+    """Whether q is the certificate the search emits for n.
+
+    That is the first odd prime q > n with (n! + 1 | q) = -1, so it is
+    unique: a composite q, q <= n, a prime at which n! + 1 is a residue or
+    zero, and a later rejecting prime are all refused. The primes above n
+    are walked in order and the walk stops at the first that rejects, so
+    a forged q costs no more than the true one.
+    """
+    if n < 0:
+        return False
+    for p in primes_above(n):
+        if p > q:
+            return False
+        if residue_symbol(n, p) == -1:
+            return p == q
+    raise AssertionError("primes_above is endless")
+
+
+def verify(n: int, *, ceiling: int = EXACT_FACTORIAL_CEILING,
+           certify: int = 0) -> VerifyReport:
+    """Verdict for a single n, exact unless certify asks for a certificate.
+
+    With certify > 0 the certify smallest odd primes above n are tried
+    first; the first that rejects settles n as a non-solution and nothing
+    exact is computed. Without one (solutions, and about 2**-certify of
+    non-solutions) the exact path runs, which raises CeilingError above
+    the ceiling.
+    """
+    if certify:
+        q = legendre_certificate(n, certify)
+        if q is not None:
+            return VerifyReport(n=n, k=None, m_candidate=None, k_even=None,
+                                product_matches=False, defect=None,
+                                is_solution=False, m=None, rejecting_prime=q)
     f = factorial_exact(n, ceiling=ceiling)
     k = isqrt(f)
     d = f - k * k

@@ -2,14 +2,17 @@
 
 The scan never materializes n! per step. It carries n! mod p for each
 pool prime and multiplies by n to advance, which keeps the per-step cost
-flat. Exact factorials are computed on demand for the few n that survive
-filtering.
+flat. Exact factorials are computed on demand, for the CLI's exact
+commands and for the rare scan survivor that no Legendre certificate
+settles (`conditions.verify`).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .exact_arith import is_prime_64
 
@@ -56,6 +59,15 @@ class FactorialState:
     exact: int | None = field(default=None, repr=False)
 
 
+def primes_above(n: int) -> Iterator[int]:
+    """The odd primes strictly greater than n, in increasing order."""
+    c = max(n + 1, 3) | 1
+    while True:
+        if is_prime_64(c):
+            yield c
+        c += 2
+
+
 def build_prime_pool(max_n: int, count: int) -> PrimePool:
     """The count smallest odd primes strictly greater than max_n."""
     if max_n < 0:
@@ -64,15 +76,7 @@ def build_prime_pool(max_n: int, count: int) -> PrimePool:
         raise CeilingError(f"max_n {max_n} exceeds supported ceiling {MAX_SUPPORTED_N}")
     if count < 1:
         raise ValueError("count must be positive")
-    primes = []
-    c = max(max_n + 1, 3)
-    if c % 2 == 0:
-        c += 1
-    while len(primes) < count:
-        if is_prime_64(c):
-            primes.append(c)
-        c += 2
-    return PrimePool(max_n=max_n, primes=tuple(primes))
+    return PrimePool(max_n=max_n, primes=tuple(itertools.islice(primes_above(max_n), count)))
 
 
 def initial_state(pool: PrimePool, with_exact: bool = False) -> FactorialState:

@@ -2,10 +2,12 @@
 
 The scan advances a factorial residue stream over a fixed prime pool and
 applies the quadratic-residue filter (`qr_filter.ResidueFilter`) at every
-n. Survivors, which are vanishingly rare for a healthy pool, get an exact
-verdict; survivors beyond the exact-verification ceiling are reported
-UNRESOLVED rather than silently dropped. Progress is checkpointed to a small text file so
-a scan can be killed and resumed without rework.
+n. Each survivor is settled by one `conditions.verify` call: a further
+prime above n that rejects it (a Legendre certificate, reported with the
+survivor), else an exact verdict; a survivor with neither, beyond the
+exact-verification ceiling, is reported UNRESOLVED rather than silently
+dropped. Progress is checkpointed to a small text file so a scan can be
+killed and resumed without rework.
 
 Determinism is a hard requirement: for a fixed pool, the reported
 stream, all counters and every checkpoint are identical whether the scan
@@ -25,6 +27,7 @@ from typing import Callable
 from . import conditions
 from .factorial_engine import (
     EXACT_FACTORIAL_CEILING,
+    CeilingError,
     FactorialState,
     PrimePool,
     build_prime_pool,
@@ -38,7 +41,8 @@ DEFAULT_CHECKPOINT_INTERVAL = 100_000
 _CHECKPOINT_MAGIC = b"BROCARD-CHECKPOINT v1"
 _CRC_RE = re.compile(rb"crc32=([0-9a-f]{8})\n")
 
-EventCallback = Callable[[str, int, "int | None"], None]
+# (kind, n, m, rejecting_prime)
+EventCallback = Callable[[str, int, "int | None", "int | None"], None]
 
 
 class CheckpointError(Exception):
@@ -185,8 +189,9 @@ def load_checkpoint(path: str, pool: PrimePool) -> FactorialState:
 def run(config: SearchConfig, on_event: EventCallback | None = None) -> SearchSummary:
     """Execute (or resume) a scan and return what this segment found.
 
-    Events are delivered in ascending n: ("solution", n, m),
-    ("survivor", n, None), ("unresolved", n, None).
+    Events are delivered in ascending n: ("solution", n, m, None),
+    ("survivor", n, None, q) with q the rejecting prime, or None when exact
+    arithmetic settled n, and ("unresolved", n, None, None).
     """
     if config.max_n < 0:
         raise ValueError("max_n must be non-negative")
@@ -214,18 +219,20 @@ def run(config: SearchConfig, on_event: EventCallback | None = None) -> SearchSu
     def settle_survivor(n: int) -> None:
         nonlocal survivors
         survivors += 1
-        if n > config.exact_verify_ceiling:
+        try:
+            report = conditions.verify(n, ceiling=config.exact_verify_ceiling,
+                                       certify=conditions.CERTIFICATE_PRIMES)
+        except CeilingError:
             unresolved.append(n)
             if on_event:
-                on_event("unresolved", n, None)
+                on_event("unresolved", n, None, None)
             return
-        report = conditions.verify(n, ceiling=config.exact_verify_ceiling)
         if report.is_solution:
             solutions.append((n, report.m))
             if on_event:
-                on_event("solution", n, report.m)
+                on_event("solution", n, report.m, None)
         elif on_event:
-            on_event("survivor", n, None)
+            on_event("survivor", n, None, report.rejecting_prime)
 
     kernel = ResidueFilter(pool, state, stop)
     interval = config.checkpoint_interval

@@ -43,6 +43,19 @@ def test_emit_report_verifies_solution_lines():
         emit_report([ReportLine(kind="solution", n=10**9, m=3)], io.StringIO())
 
 
+def test_emit_report_rechecks_rejecting_primes():
+    good = io.StringIO()
+    emit_report([ReportLine(kind="survivor", n=10, rejecting_prime=13)], good)
+    assert good.getvalue() == '{"kind":"survivor","n":10,"rejecting_prime":13}\n'
+    # composite, at or below n, dividing 10! + 1, a residue, not the first
+    for q in (15, 7, 11, 17, 19):
+        with pytest.raises(ReportIntegrityError):
+            emit_report([ReportLine(kind="survivor", n=10, rejecting_prime=q)], io.StringIO())
+    # a solution has no rejecting prime at all
+    with pytest.raises(ReportIntegrityError):
+        emit_report([ReportLine(kind="survivor", n=7, rejecting_prime=11)], io.StringIO())
+
+
 def test_emit_report_to_path(tmp_path):
     path = str(tmp_path / "out.jsonl")
     emit_report([ReportLine(kind="survivor", n=12)], path)
@@ -95,6 +108,35 @@ def test_search_cli_end_to_end(tmp_path, capsys):
     ]
     assert lines[3]["counters"]["scanned"] == 99
     assert "scan 2..100 done" in capsys.readouterr().err
+
+
+def test_search_cli_survivor_lines_carry_rejecting_prime(tmp_path, capsys):
+    from brocard.conditions import is_certificate
+
+    report = tmp_path / "scan.jsonl"
+    assert dispatch(["search", "--max-n", "2000", "--primes", "2",
+                     "--report", str(report)]) == 0
+    lines = [json.loads(raw) for raw in report.read_text().splitlines()]
+    survivors = [o for o in lines if o["kind"] == "survivor"]
+    assert len(survivors) > 100
+    assert all(is_certificate(o["n"], o["rejecting_prime"]) for o in survivors)
+    assert lines[-1]["counters"]["unresolved"] == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("max_n", ["100000", "100050"])
+def test_resume_of_a_finished_scan_writes_nothing(tmp_path, capsys, max_n):
+    # the last checkpoint is at 100000: the scan's end, or 50 n short of it
+    report, ck = tmp_path / "scan.jsonl", tmp_path / "scan.ck"
+    args = ["search", "--max-n", max_n, "--checkpoint", str(ck), "--report", str(report)]
+    assert dispatch(args) == 0
+    before, ck_before = report.read_bytes(), ck.read_bytes()
+    capsys.readouterr()
+    assert dispatch(args + ["--resume"]) == 0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "already holds a summary" in err
+    assert report.read_bytes() == before and ck.read_bytes() == ck_before
+    assert before.count(b'"kind":"summary"') == 1
 
 
 def test_search_cli_writes_report_to_stdout(capsys):

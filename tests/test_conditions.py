@@ -3,17 +3,23 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brocard.conditions import (
+    CERTIFICATE_PRIMES,
     NotASolutionError,
     bound_check,
     candidate_m,
     defect,
     factor_structure,
+    factorial_mod,
+    is_certificate,
+    legendre_certificate,
     verify,
 )
-from brocard.exact_arith import isqrt
-from brocard.factorial_engine import CeilingError
+from brocard.exact_arith import is_prime_64, isqrt
+from brocard.factorial_engine import CeilingError, primes_above
 
 KNOWN_SOLUTIONS = {4: 5, 5: 11, 7: 71}
 
@@ -106,3 +112,89 @@ def test_factor_structure_rejects_non_solution():
     for n in (2, 6, 10):
         with pytest.raises(NotASolutionError):
             factor_structure(n)
+
+
+# ---------------------------------------------------------------------------
+# Legendre certificates
+
+
+def _euler_rejects(n, q):
+    return pow((math.factorial(n) + 1) % q, (q - 1) // 2, q) == q - 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 3000), st.integers(0, 5))
+def test_factorial_mod_matches_exact(n, rank):
+    q = next(p for i, p in enumerate(primes_above(n)) if i == rank)
+    assert factorial_mod(n, q) == math.factorial(n) % q
+
+
+def test_factorial_mod_wilson_edges():
+    assert factorial_mod(1008, 1009) == 1008  # (q - 1)! = -1
+    assert factorial_mod(0, 3) == 1
+    with pytest.raises(ValueError):
+        factorial_mod(11, 11)
+
+
+def test_certificate_is_first_rejecting_prime():
+    for n in range(0, 400):
+        q = legendre_certificate(n)
+        if n in KNOWN_SOLUTIONS:
+            assert q is None
+            continue
+        assert q is not None and q > n and is_prime_64(q) and _euler_rejects(n, q)
+        assert not any(_euler_rejects(n, p) for p in range(max(n + 1, 3), q) if is_prime_64(p))
+        assert is_certificate(n, q)
+
+
+def test_certificate_checker_refuses_mutants():
+    # n = 10: 10! + 1 = 11 * 329891 (symbol 0 at 11), a residue mod 17,
+    # 13 rejects first; 15 and 21 are composite.
+    assert legendre_certificate(10) == 13 and is_certificate(10, 13)
+    assert (math.factorial(10) + 1) % 11 == 0
+    assert not _euler_rejects(10, 17)
+    for q in (15, 21, 1, 2, 7, 10, 11, 17, 14, 12):
+        assert not is_certificate(10, q), q
+    for n in range(2, 600):
+        q = legendre_certificate(n)
+        if q is None:
+            continue
+        mutants = {q - 2, q + 2, q + 1, q * 3, n, n - 1, 2}
+        mutants |= {p for p in range(3, q) if is_prime_64(p)}  # at or below n, or non-rejecting
+        for bad in mutants:
+            assert not is_certificate(n, bad), (n, bad)
+    assert not is_certificate(-1, 3)
+
+
+def test_solutions_get_no_certificate_and_reach_the_exact_path():
+    for n, m in KNOWN_SOLUTIONS.items():
+        assert legendre_certificate(n) is None
+        assert legendre_certificate(n, 500) is None
+        report = verify(n, certify=CERTIFICATE_PRIMES)
+        assert report.is_solution and report.m == m and report.k == m - 1
+        assert report.rejecting_prime is None
+
+
+def test_verify_with_certificate_skips_exact_arithmetic(monkeypatch):
+    import brocard.conditions as conditions
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact arithmetic on the certificate path")
+
+    monkeypatch.setattr(conditions, "factorial_exact", refuse)
+    report = verify(10**8, certify=CERTIFICATE_PRIMES)  # far above the ceiling
+    assert not report.is_solution and report.m is None and report.k is None
+    assert is_certificate(10**8, report.rejecting_prime)
+    # without certify, verify stays exact
+    with pytest.raises(AssertionError):
+        verify(9)
+
+
+def test_verify_falls_back_when_budget_has_no_rejecting_prime():
+    # an n whose first prime above it does not reject
+    n = next(n for n in range(8, 200) if legendre_certificate(n, 1) is None
+             and n not in KNOWN_SOLUTIONS)
+    report = verify(n, certify=1)
+    assert report.rejecting_prime is None and report.k == isqrt(math.factorial(n))
+    with pytest.raises(CeilingError):
+        verify(n, ceiling=n - 1, certify=1)

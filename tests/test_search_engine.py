@@ -4,7 +4,10 @@ import math
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from brocard.exact_arith import is_prime_64
 from brocard.factorial_engine import FactorialState, build_prime_pool
 from brocard.search_engine import (
     CheckpointChecksumError,
@@ -20,7 +23,7 @@ from brocard.search_engine import (
 
 def _collect(config):
     events = []
-    summary = run(config, on_event=lambda kind, n, m=None: events.append((kind, n, m)))
+    summary = run(config, on_event=lambda kind, n, m, q: events.append((kind, n, m)))
     return summary, events
 
 
@@ -62,6 +65,34 @@ def test_run_unresolved_beyond_exact_ceiling():
     assert summary.solutions == [(4, 5), (5, 11)]
     assert summary.unresolved == [7]
     assert ("unresolved", 7, None) in events
+
+
+def test_run_settles_survivors_by_certificate_above_the_ceiling():
+    # with one pool prime about half of all n survive; above the ceiling a
+    # certificate settles them, and only the solution 7 stays unresolved
+    summary, events = _collect(SearchConfig(max_n=200, pool_size=1, exact_verify_ceiling=6))
+    assert summary.unresolved == [7]
+    assert summary.solutions == [(4, 5), (5, 11)]
+    assert summary.survivors > 50
+    assert [kind for kind, _, _ in events].count("survivor") == summary.survivors - 3
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 3000), st.sampled_from([1, 2, 8]))
+def test_emitted_certificates_recheck_with_one_pow(max_n, pool_size):
+    events = []
+    run(SearchConfig(max_n=max_n, pool_size=pool_size),
+        on_event=lambda kind, n, m, q: events.append((kind, n, q)))
+    f, at = 1, 0
+    for kind, n, q in events:
+        assert (kind == "survivor") == (n not in (4, 5, 7))
+        if kind != "survivor":
+            assert q is None
+            continue
+        f *= math.prod(range(at + 1, n + 1))
+        at = n
+        assert q > n and q > 2 and is_prime_64(q)
+        assert pow((f + 1) % q, (q - 1) // 2, q) == q - 1
 
 
 def test_run_validates_config():
