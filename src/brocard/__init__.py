@@ -45,6 +45,7 @@ from .factorial_engine import (
     initial_state,
     is_factorial,
     primes_above,
+    seed_state,
 )
 from .poly_system import (
     LatticePoint,
@@ -62,6 +63,7 @@ from .search_engine import (
     CheckpointVersionError,
     SearchConfig,
     SearchSummary,
+    ShardError,
     load_checkpoint,
     run,
     save_checkpoint,

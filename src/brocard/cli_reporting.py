@@ -8,7 +8,8 @@ rejecting prime is re-checked as its certificate, as a last defense
 against engine bugs.
 
 Exit codes: 0 success, 1 usage error or an unreadable report line on
-resume, 2 internal or resource error, 3 checkpoint mismatch.
+resume, 2 internal or resource error (a failed scan shard among them),
+3 checkpoint mismatch.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .search_engine import (
     DEFAULT_POOL_SIZE,
     CheckpointError,
     SearchConfig,
+    ShardError,
     run,
 )
 
@@ -407,6 +409,9 @@ def dispatch(argv: list[str] | None = None) -> int:
     except CheckpointError as exc:
         print(f"checkpoint: {exc}", file=sys.stderr)
         return 3
+    except ShardError as exc:
+        print(f"search: {exc}", file=sys.stderr)
+        return 2
     except (BitBudgetError, CeilingError) as exc:
         print(f"limit: {exc}", file=sys.stderr)
         return 2

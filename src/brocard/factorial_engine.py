@@ -16,6 +16,12 @@ from typing import Iterator
 
 from .exact_arith import is_prime_64
 
+# Consecutive factors `seed_state` multiplies together before each
+# reduction by the pool product. Medians of five seeds of n = 5 * 10**5
+# with the 48-prime pool (2-core x86-64 VM, CPython 3.11): 0.12 s with 16
+# factors, 0.11 s with 32 or 64, 0.18 s with 256.
+_SEED_BLOCK = 32
+
 # Largest factorial the engine will materialize without an explicit override.
 EXACT_FACTORIAL_CEILING = 10**7
 
@@ -96,6 +102,24 @@ def advance(state: FactorialState, pool: PrimePool) -> FactorialState:
     residues = [r * n % p for r, p in zip(state.residues, pool.primes)]
     exact = state.exact * n if state.exact is not None else None
     return FactorialState(n=n, residues=residues, exact=exact)
+
+
+def seed_state(pool: PrimePool, n: int) -> FactorialState:
+    """The stream at position n, computed from n alone.
+
+    Blocks of consecutive factors are multiplied exactly and each block
+    product is reduced mod the product of the pool, so reaching n costs
+    about n / 32 reductions of one big residue, far less than n steps.
+    """
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    if n > pool.max_n:
+        raise CeilingError(f"n={n} is beyond pool max_n={pool.max_n}")
+    modulus = math.prod(pool.primes)
+    packed = 1
+    for a in range(2, n + 1, _SEED_BLOCK):
+        packed = packed * math.prod(range(a, min(a + _SEED_BLOCK, n + 1))) % modulus
+    return FactorialState(n=n, residues=[packed % p for p in pool.primes])
 
 
 def factorial_exact(n: int, *, ceiling: int = EXACT_FACTORIAL_CEILING) -> int:

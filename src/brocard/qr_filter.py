@@ -120,11 +120,8 @@ class ResidueFilter:
     """
 
     def __init__(self, pool: PrimePool, state: FactorialState, stop: int) -> None:
-        assert len(state.residues) == len(pool.primes)
         primes = pool.primes
         span = stop - state.n
-        self.n = state.n
-        self.rejections: Counter[int] = Counter()
         self._width = min(_FRONT_WIDTH, len(primes))
         front = primes[: self._width]
         tests = [
@@ -136,11 +133,19 @@ class ResidueFilter:
         pad = _FRONT_WIDTH - self._width
         self._moduli = list(front) + [1] * pad
         self._tests = tests + [_never] * pad
-        self._residues = list(state.residues[: self._width]) + [0] * pad
-        self._tail = [(p, (p - 1) >> 1) for p in primes[self._width:]]
-        self._modulus = math.prod(primes[self._width:])
-        self._packed = _crt(state.residues[self._width:], primes[self._width:],
-                            self._modulus)
+        self._tail_primes = primes[self._width:]
+        self._tail = [(p, (p - 1) >> 1) for p in self._tail_primes]
+        self._modulus = math.prod(self._tail_primes)
+        self.seek(state)
+
+    def seek(self, state: FactorialState) -> None:
+        """Reposition the stream at `state` and restart the rejection
+        counts, keeping the front's tests (and any tables they hold)."""
+        assert len(state.residues) == self._width + len(self._tail)
+        self.n = state.n
+        self.rejections: Counter[int] = Counter()
+        self._residues = list(state.residues[: self._width]) + [0] * (_FRONT_WIDTH - self._width)
+        self._packed = _crt(state.residues[self._width:], self._tail_primes, self._modulus)
         self._packed_n = state.n
 
     def scan_to(self, hi: int, on_survivor: Callable[[int], None]) -> None:

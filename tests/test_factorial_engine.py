@@ -3,6 +3,8 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brocard.factorial_engine import (
     MAX_SUPPORTED_N,
@@ -14,7 +16,9 @@ from brocard.factorial_engine import (
     factorial_exact,
     initial_state,
     is_factorial,
+    seed_state,
 )
+from brocard.qr_filter import ResidueFilter
 
 # ---------------------------------------------------------------------------
 # prime pool
@@ -120,6 +124,33 @@ def test_residue_stream_consistency_to_2000():
             assert r == state.exact % p
             assert r != 0  # pool primes never divide n!
     assert state.n == 2000
+
+
+@settings(max_examples=60, deadline=None)
+@given(size=st.sampled_from([1, 2, 3, 8, 48]), max_n=st.integers(0, 3000), data=st.data())
+def test_seed_state_matches_exact_and_streamed(size, max_n, data):
+    # seeding from n alone agrees with n! mod p and with the kernel that
+    # streamed from 0 to n, at n = 0, 1, the edges of the 32-factor blocks
+    # and just below max_n
+    pool = build_prime_pool(max_n, size)
+    edges = [0, 1, 31, 32, 33, 34, 63, 64, 65, 66, max_n - 1, max_n]
+    points = [n for n in edges if 0 <= n <= max_n] + [data.draw(st.integers(0, max_n))]
+    for n in points:
+        seeded = seed_state(pool, n)
+        f = math.factorial(n)
+        assert seeded.n == n
+        assert seeded.residues == [f % p for p in pool.primes]
+        kernel = ResidueFilter(pool, initial_state(pool), max_n)
+        kernel.scan_to(n, lambda n: None)
+        assert kernel.state().residues == seeded.residues
+
+
+def test_seed_state_refuses_bad_positions():
+    pool = build_prime_pool(50, 3)
+    with pytest.raises(CeilingError):
+        seed_state(pool, 51)
+    with pytest.raises(ValueError):
+        seed_state(pool, -1)
 
 
 # ---------------------------------------------------------------------------
