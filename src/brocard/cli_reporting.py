@@ -45,6 +45,12 @@ from .search_engine import (
 # command prints the computed k and flags the discrepancy.
 MISQUOTED_K = {8: 26, 11: 6371}
 
+# Exact work on n! (the factorial, then its isqrt) grows much faster than
+# n: `verify` takes about 1.2 s at n = 10**5, 5 s at 2 * 10**5, 11 s at
+# 3 * 10**5 and 134 s at 10**6 (2-core x86-64 VM, CPython 3.11). From
+# this n on, `verify`, `epsilon` and `table` say so on stderr first.
+_STALL_NOTICE_N = 200_000
+
 
 class ReportIntegrityError(Exception):
     """A report line failed its independent re-verification."""
@@ -294,12 +300,22 @@ def _cmd_search(args: argparse.Namespace) -> int:
             writer.write_summary(max(0, args.max_n - 1))
     finally:
         writer.close()
+    lo, hi = summary.scanned_range
     print(
-        f"scan 2..{args.max_n} done: {len(summary.solutions)} solution(s), "
+        f"scan {lo}..{hi} done: {len(summary.solutions)} solution(s), "
         f"{len(summary.unresolved)} unresolved, {summary.wall_time_s:.2f}s",
         file=sys.stderr,
     )
     return 0
+
+
+def _notice_exact_work(command: str, n: int) -> None:
+    """One stderr line before exact work on n! for a large n (one past the
+    exact ceiling fails at once instead), so a long silence has a reason."""
+    if _STALL_NOTICE_N <= n <= EXACT_FACTORIAL_CEILING:
+        digits = math.floor(math.lgamma(n + 1) / math.log(10)) + 1
+        print(f"{command}: n={n}: exact arithmetic on n! ({digits} digits), "
+              "this can take minutes", file=sys.stderr, flush=True)
 
 
 def _bool_str(flag: bool) -> str:
@@ -307,6 +323,7 @@ def _bool_str(flag: bool) -> str:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    _notice_exact_work("verify", args.n)
     report = conditions.verify(args.n)
     print(f"n: {report.n}")
     print(f"k: {decimal_str(report.k)}")
@@ -330,6 +347,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_epsilon(args: argparse.Namespace) -> int:
+    _notice_exact_work("epsilon", args.n)
     value = epsilon_digits(args.n, args.digits)
     print(f"n: {args.n}")
     print(f"epsilon: {value}")
@@ -345,6 +363,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if args.n_from > args.n_to:
         print("error: --from must not exceed --to", file=sys.stderr)
         return 1
+    _notice_exact_work("table", args.n_to)
     d = args.digits
     header = ["n", "k", "parity", "defect", "epsilon", "ratio", "solution", "note"]
     rows = [header]

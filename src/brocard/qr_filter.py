@@ -21,20 +21,30 @@ from typing import Callable
 
 from .factorial_engine import FactorialState, PrimePool
 
-# Pool primes streamed one residue each and tested on every n (the scan
-# loop is written out for exactly this many). Past the third, fewer than
-# one n in eight still needs a symbol, so the rest of the pool is packed
-# into one residue and caught up only for those n.
-_FRONT_WIDTH = 3
+# Scan loop slots, each streaming one front prime and testing it by its
+# nonresidue table (the loop is written out for exactly this many). The
+# prime at rank i is consulted for about 2**-i of all n, so past a few
+# ranks a table no longer pays for its build (`table_pays`). A fifth slot
+# would cost a multiplication on every n to spare Euler's pow on one n in
+# 32. Pool primes past the front are packed into one residue and caught
+# up only for the n the front passes.
+_FRONT_WIDTH = 4
 
 # Table or pow, measured on a 2-core x86-64 VM under CPython 3.11 with p
 # near 2**20: a table lookup in place of Euler's pow saves about 1100 ns
-# per symbol, and a table costs about 90 ns per entry to build.
+# per symbol, and a table costs about 55 ns per entry to build.
 _POW_SAVING_NS = 1100
-_BUILD_NS_PER_ENTRY = 90
+_BUILD_NS_PER_ENTRY = 55
 # Building a table passes through a p-byte array; above this no table is
 # built, whatever the segment length.
 _TABLE_MAX_PRIME = 1 << 24
+
+# The table of a padded front slot: its modulus is 1, so r is always 0,
+# and bit 0 is clear, so the slot never rejects.
+_NEVER = b"\x00"
+
+# Residues at which `table_matches` checks a table by Euler's criterion.
+_SPOT_CHECKS = 64
 
 
 @dataclass(frozen=True)
@@ -64,13 +74,25 @@ def passes(state: FactorialState, pool: PrimePool) -> FilterOutcome:
 
 
 def table_pays(p: int, rank: int, span: int) -> bool:
-    """Whether a nonresidue table for the front prime p at pool rank `rank`
+    """Whether a nonresidue table for the prime p at pool rank `rank`
     saves more over `span` values of n than it costs to build.
 
     The prime at rank i is consulted for about 2**-i of all n, since each
-    earlier prime rejects about half of what reaches it.
+    earlier prime rejects about half of what reaches it. A scan cut into
+    shards builds each table once and shares it, so the rule holds for
+    the whole span whatever the shard count.
     """
     return p < _TABLE_MAX_PRIME and (span * _POW_SAVING_NS >> rank) > p * _BUILD_NS_PER_ENTRY
+
+
+def table_ranks(primes: tuple[int, ...], span: int) -> int:
+    """How many leading pool ranks a scan of `span` n tests by table: those
+    where `table_pays` holds, at most the front's width. Since the rule
+    falls with rank, they are a prefix of the pool."""
+    width = 0
+    while width < min(_FRONT_WIDTH, len(primes)) and table_pays(primes[width], width, span):
+        width += 1
+    return width
 
 
 def nonresidue_bits(p: int) -> bytes:
@@ -82,8 +104,16 @@ def nonresidue_bits(p: int) -> bytes:
     """
     marks = bytearray(b"\x01") * p
     marks[p - 1] = 0
-    for x in range(1, ((p - 1) >> 1) + 1):
-        marks[x * x % p - 1] = 0
+    # marks[x * x % p - 1] = 0 for x = 1 .. (p - 1) / 2. The index steps by
+    # (x + 1)**2 - x**2 = 2x + 1, taken as 2x + 1 - p <= 0 and wrapped back
+    # into range: small-int additions only, about a third faster than
+    # squaring and reducing each x.
+    r = 0
+    for step in range(3 - p, 1, 2):
+        marks[r] = 0
+        r += step
+        if r < 0:
+            r += p
     # marks holds one 0/1 flag per byte. Lane k (bytes k, k + 8, ...) read
     # as one little-endian integer and shifted by k moves each flag to bit
     # k of its own byte; the eight lanes never overlap.
@@ -93,46 +123,46 @@ def nonresidue_bits(p: int) -> bytes:
     return packed.to_bytes((p + 7) >> 3, "little")
 
 
-def _nonresidue_test(p: int, table: bytes | None) -> Callable[[int], int]:
-    """Predicate on r = n! mod p: true iff (r + 1 | p) == -1."""
-    if table is not None:
-        return lambda r: table[r >> 3] >> (r & 7) & 1
+def table_matches(p: int, table: object) -> bool:
+    """Whether `table` has the length of `nonresidue_bits(p)` and agrees
+    with Euler's criterion at _SPOT_CHECKS residues spread over 0 .. p - 1.
+
+    A table that arrived from another process is checked this way: a torn
+    one has the wrong length, and one built for another prime disagrees
+    at about half the residues checked.
+    """
+    if not isinstance(table, bytes) or len(table) != (p + 7) >> 3:
+        return False
     half = (p - 1) >> 1
-    # r + 1 == p gives pow(...) == 0, never p - 1: the zero symbol passes
-    return lambda r: pow(r + 1, half, p) == p - 1
-
-
-def _never(r: int) -> int:
-    return 0
+    for k in range(_SPOT_CHECKS):
+        r = k * (p - 1) // (_SPOT_CHECKS - 1)
+        if table[r >> 3] >> (r & 7) & 1 != (pow(r + 1, half, p) == p - 1):
+            return False
+    return True
 
 
 class ResidueFilter:
     """The scan kernel: n! mod the pool, filtered at every n >= 2.
 
-    Front: the first three pool primes each carry r = n! mod p,
-    advanced as r = r * n % p and tested on every n, with a bit-packed
-    nonresidue table where `table_pays` says the segment is long enough
-    and Euler's pow otherwise. Tail: the remaining primes share one
-    residue R = n! mod their product, multiplied up to n only for the n
-    that pass the front, then tested prime by prime. Primes are tested in
-    pool order, so the recorded rejecting prime is the first in pool
-    order, as with `passes`.
+    Front: the first len(tables) pool primes, tables[i] being
+    `nonresidue_bits` of the prime at rank i, each carry r = n! mod p,
+    advanced as r = r * n % p and looked up in its table on every n.
+    Tail: the remaining primes share one residue R = n! mod their
+    product, multiplied up to n only for the n that pass the front, then
+    tested prime by prime with Euler's pow. Primes are tested in pool
+    order, so the recorded rejecting prime is the first in pool order, as
+    with `passes`.
     """
 
-    def __init__(self, pool: PrimePool, state: FactorialState, stop: int) -> None:
+    def __init__(self, pool: PrimePool, state: FactorialState, tables: list[bytes]) -> None:
         primes = pool.primes
-        span = stop - state.n
-        self._width = min(_FRONT_WIDTH, len(primes))
-        front = primes[: self._width]
-        tests = [
-            _nonresidue_test(p, nonresidue_bits(p) if table_pays(p, i, span) else None)
-            for i, p in enumerate(front)
-        ]
-        # A pool smaller than the front pads it with modulus-1 slots that
-        # never reject, so the scan loop has one shape.
+        self._width = len(tables)
+        assert self._width <= min(_FRONT_WIDTH, len(primes))
+        # A front narrower than the loop is padded with modulus-1 slots
+        # that never reject, so the scan loop has one shape.
         pad = _FRONT_WIDTH - self._width
-        self._moduli = list(front) + [1] * pad
-        self._tests = tests + [_never] * pad
+        self._moduli = list(primes[: self._width]) + [1] * pad
+        self._tables = list(tables) + [_NEVER] * pad
         self._tail_primes = primes[self._width:]
         self._tail = [(p, (p - 1) >> 1) for p in self._tail_primes]
         self._modulus = math.prod(self._tail_primes)
@@ -140,7 +170,7 @@ class ResidueFilter:
 
     def seek(self, state: FactorialState) -> None:
         """Reposition the stream at `state` and restart the rejection
-        counts, keeping the front's tests (and any tables they hold)."""
+        counts, keeping the front's tables."""
         assert len(state.residues) == self._width + len(self._tail)
         self.n = state.n
         self.rejections: Counter[int] = Counter()
@@ -151,10 +181,10 @@ class ResidueFilter:
     def scan_to(self, hi: int, on_survivor: Callable[[int], None]) -> None:
         """Filter n = self.n + 1 .. hi, counting each rejection under its
         prime and calling on_survivor(n) in ascending n for the rest."""
-        p0, p1, p2 = self._moduli
-        t0, t1, t2 = self._tests
-        r0, r1, r2 = self._residues
-        c0 = c1 = c2 = 0
+        p0, p1, p2, p3 = self._moduli
+        t0, t1, t2, t3 = self._tables
+        r0, r1, r2, r3 = self._residues
+        c0 = c1 = c2 = c3 = 0
         tail, modulus = self._tail, self._modulus
         packed, packed_n = self._packed, self._packed_n
         rejections, prod = self.rejections, math.prod
@@ -163,14 +193,21 @@ class ResidueFilter:
             r0 = r0 * n % p0
             r1 = r1 * n % p1
             r2 = r2 * n % p2
-            if t0(r0):
+            r3 = r3 * n % p3
+            if t0[r0 >> 3] >> (r0 & 7) & 1:
                 c0 += 1
-            elif t1(r1):
+            elif t1[r1 >> 3] >> (r1 & 7) & 1:
                 c1 += 1
-            elif t2(r2):
+            elif t2[r2 >> 3] >> (r2 & 7) & 1:
                 c2 += 1
+            elif t3[r3 >> 3] >> (r3 & 7) & 1:
+                c3 += 1
             else:
-                packed = packed * prod(range(packed_n + 1, n + 1)) % modulus
+                # one n behind, as every n is when no table is in front
+                if packed_n == n - 1:
+                    packed = packed * n % modulus
+                else:
+                    packed = packed * prod(range(packed_n + 1, n + 1)) % modulus
                 packed_n = n
                 for p, half in tail:
                     if pow(packed % p + 1, half, p) == p - 1:
@@ -178,11 +215,11 @@ class ResidueFilter:
                         break
                 else:
                     on_survivor(n)
-        for p, c in zip((p0, p1, p2)[: self._width], (c0, c1, c2)):
+        for p, c in zip(self._moduli[: self._width], (c0, c1, c2, c3)):
             if c:
                 rejections[p] += c
         self.n = max(self.n, hi)
-        self._residues = [r0, r1, r2]
+        self._residues = [r0, r1, r2, r3]
         self._packed, self._packed_n = packed, packed_n
 
     def state(self) -> FactorialState:

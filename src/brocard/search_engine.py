@@ -10,10 +10,13 @@ dropped. Progress is checkpointed to a small text file so a scan can be
 killed and resumed without rework.
 
 A long range is cut into shards, one per available core. The first runs
-in the calling process; each later one runs in a forked child that seeds
-the stream at its start from n alone (`seed_state`), filters, and sends
-its survivors and checkpoint residues back over a pipe. The calling
-process settles every survivor, delivers every event and writes every
+in the calling process; each later one runs in a child forked before the
+kernel's nonresidue tables are built. The processes build the tables
+between them and exchange them through the calling process, which checks
+each one it receives. Each child then seeds the stream at its start from
+n alone (`seed_state`), filters, and sends its survivors and the residues
+at each checkpoint boundary back over a pipe. The calling process
+settles every survivor, delivers every event and writes every
 checkpoint, in ascending n, exactly as a one-process run would.
 
 Determinism is a hard requirement: for a fixed pool, the reported
@@ -43,19 +46,19 @@ from .factorial_engine import (
     initial_state,
     seed_state,
 )
-from .qr_filter import ResidueFilter
+from .qr_filter import ResidueFilter, nonresidue_bits, table_matches, table_ranks
 
 DEFAULT_POOL_SIZE = 48
 DEFAULT_CHECKPOINT_INTERVAL = 100_000
 
 # A range is sharded only where each shard gets at least this many n: a
-# shard pays a fork and a seed, and the table builds before the fork stay
-# serial.
+# shard pays a fork, a table exchange and a seed.
 _MIN_SHARD_SPAN = 1 << 17
 # Seeding the stream at n from n alone costs about this share of scanning
-# as many n: 0.17-0.23 s against about 2 s per 10**6 n with the 48-prime
-# pool (2-core x86-64 VM, CPython 3.11).
-_SEED_COST = 0.1
+# as many n: about 205 ns per n seeded against 1000-1200 ns per n scanned
+# with the 48-prime pool and a 4-table front near n = 10**6 (2-core
+# x86-64 VM, CPython 3.11).
+_SEED_COST = 0.18
 
 _CHECKPOINT_MAGIC = b"BROCARD-CHECKPOINT v1"
 _CRC_RE = re.compile(rb"crc32=([0-9a-f]{8})\n")
@@ -257,30 +260,50 @@ def run(config: SearchConfig, on_event: EventCallback | None = None) -> SearchSu
         elif on_event:
             on_event("survivor", n, None, report.rejecting_prime)
 
-    kernel = ResidueFilter(pool, state, stop)
     interval = config.checkpoint_interval if config.checkpoint_path else None
+    pending: list[int] = []
 
-    def end_segment(state: FactorialState) -> None:
+    def end_piece(hi: int, found: list[int], residues: list[int]) -> None:
+        """Take the survivors and end residues of the piece of the scan
+        ending at hi. A checkpoint segment that a shard cut splits is
+        settled and checkpointed only once its last piece is in."""
+        pending.extend(found)
+        if interval and hi % interval and hi != stop:
+            return
+        for n in pending:
+            settle_survivor(n)
+        pending.clear()
         # a checkpoint at max_n off the interval grid is never written
-        if interval and (state.n % interval == 0 or state.n < config.max_n):
-            save_checkpoint(state, pool, config.checkpoint_path)
+        if interval and (hi % interval == 0 or hi < config.max_n):
+            save_checkpoint(FactorialState(n=hi, residues=residues), pool,
+                            config.checkpoint_path)
 
-    bounds = _shard_bounds(start, stop, _shard_count(stop - start), interval or 1)
+    front = pool.primes[:table_ranks(pool.primes, stop - start)]
+    bounds = _shard_bounds(start, stop, _shard_count(stop - start))
+    count = len(bounds) - 1
     children: list[_Child] = []
     try:
-        # Forked after the kernel built its tables, so the children share them.
-        for lo, hi in zip(bounds[1:], bounds[2:]):
-            children.append(_fork_shard(kernel, pool, lo, hi, interval))
+        # Forked before any table is built: shard k builds the tables of
+        # front ranks k, k + count, ..., and the parent gathers them all
+        # and hands the full set to every child.
+        for k, (lo, hi) in enumerate(zip(bounds[1:], bounds[2:]), 1):
+            children.append(_fork_shard(pool, front, k, count, lo, hi, interval))
+        tables: list[bytes] = [b""] * len(front)
+        tables[0::count] = [nonresidue_bits(p) for p in front[0::count]]
+        for child in children:
+            tables[child.k::count] = child.receive_tables(front[child.k::count])
+        shared = marshal.dumps(tables)
+        for child in children:
+            child.send(shared)
+        kernel = ResidueFilter(pool, state, tables)
         for hi in _segment_ends(start, bounds[1], interval):
-            kernel.scan_to(hi, settle_survivor)
-            end_segment(kernel.state())
+            found: list[int] = []
+            kernel.scan_to(hi, found.append)
+            end_piece(hi, found, kernel.state().residues)
         rejections = kernel.rejections
         for child in children:
             for hi in _segment_ends(child.lo, child.hi, interval):
-                found, residues = child.receive()
-                for n in found:
-                    settle_survivor(n)
-                end_segment(FactorialState(n=hi, residues=residues))
+                end_piece(hi, *child.receive())
             rejections.update(child.receive())
             child.reap()
     finally:
@@ -317,21 +340,23 @@ def _shard_count(span: int) -> int:
     return max(1, min(cores, span // _MIN_SHARD_SPAN))
 
 
-def _shard_bounds(start: int, stop: int, count: int, grid: int) -> list[int]:
+def _shard_bounds(start: int, stop: int, count: int) -> list[int]:
     """[start, c_1, ..., stop]: shard k scans c_k + 1 .. c_{k+1}.
 
-    Each cut is a multiple of `grid` (the checkpoint interval, so a shard
-    ends where a checkpoint is due). The cuts balance wall time: shard 0
-    scans on from `start`, and shard k first seeds its start at
-    _SEED_COST per n, so with keep = 1 - _SEED_COST the targets are
-    c_1 = start + t and c_{k+1} = keep * c_k + t, where t makes the last
-    one stop.
+    The cuts may fall anywhere; they balance wall time. Every process
+    waits at the table exchange for the last table, so the builds end
+    together and drop out of the balance. After it, shard 0 scans on from
+    `start`, and shard k first seeds its start at _SEED_COST per n, so
+    with keep = 1 - _SEED_COST the targets are c_1 = start + t and
+    c_{k+1} = keep * c_k + t, where t makes the last one stop. A cut that
+    would not fall strictly between its neighbours is dropped, with its
+    shard.
     """
     keep = 1 - _SEED_COST
     t = (stop - start * keep ** (count - 1)) / sum(keep ** j for j in range(count))
     bounds, target = [start], start + t
     for _ in range(count - 1):
-        cut = round(target / grid) * grid
+        cut = round(target)
         if bounds[-1] < cut < stop:
             bounds.append(cut)
         target = target * keep + t
@@ -339,78 +364,126 @@ def _shard_bounds(start: int, stop: int, count: int, grid: int) -> list[int]:
 
 
 def _segment_ends(lo: int, hi: int, interval: int | None) -> Iterator[int]:
-    """The last n of each segment of lo + 1 .. hi: every checkpoint
+    """The last n of each piece of lo + 1 .. hi: every checkpoint
     boundary inside, then hi."""
     while lo < hi:
         lo = min(hi, (lo // interval + 1) * interval) if interval else hi
         yield lo
 
 
-def _fork_shard(kernel: ResidueFilter, pool: PrimePool, lo: int, hi: int,
-                interval: int | None) -> "_Child":
+def _send(pipe: BinaryIO, record: object) -> None:
+    marshal.dump(record, pipe)
+    pipe.flush()
+
+
+def _fork_shard(pool: PrimePool, front: tuple[int, ...], k: int, count: int,
+                lo: int, hi: int, interval: int | None) -> "_Child":
+    """Fork shard k of count, to scan lo + 1 .. hi. One pipe carries its
+    records to the parent, another the full table set to it."""
     read_fd, write_fd = os.pipe()
+    try:
+        tables_read_fd, tables_write_fd = os.pipe()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
     try:
         pid = os.fork()
         if pid == 0:
-            _scan_shard(kernel, pool, lo, hi, interval, read_fd, write_fd)
+            _scan_shard(pool, front, k, count, lo, hi, interval,
+                        (read_fd, tables_write_fd), tables_read_fd, write_fd)
     except BaseException:
         os.close(read_fd)
+        os.close(tables_write_fd)
         raise
     finally:
         os.close(write_fd)
-    return _Child(pid, open(read_fd, "rb"), lo, hi)
+        os.close(tables_read_fd)
+    return _Child(pid, open(read_fd, "rb"), tables_write_fd, k, lo, hi)
 
 
-def _scan_shard(kernel: ResidueFilter, pool: PrimePool, lo: int, hi: int,
-                interval: int | None, read_fd: int, write_fd: int) -> NoReturn:
-    """Body of a shard child: scan lo + 1 .. hi from a seeded stream.
+def _scan_shard(pool: PrimePool, front: tuple[int, ...], k: int, count: int,
+                lo: int, hi: int, interval: int | None, parent_fds: tuple[int, int],
+                tables_fd: int, write_fd: int) -> NoReturn:
+    """Body of a shard child: build its share of the tables, take the full
+    set, then scan lo + 1 .. hi from a seeded stream.
 
-    Sends one marshal record per segment, (survivors, residues at its
-    end), then the rejection counts, or a one-line error message, into
-    write_fd. Ends with os._exit, so it never returns or raises into the
-    caller's stack and never flushes stdio buffers inherited from the
-    parent.
+    Sends its tables, then one marshal record per piece (survivors,
+    residues at its end), then the rejection counts, or a one-line error
+    message, into write_fd. Ends with os._exit, so it never returns or
+    raises into the caller's stack and never flushes stdio buffers
+    inherited from the parent.
     """
     code = 1
     try:
-        os.close(read_fd)
-        with open(write_fd, "wb") as pipe:
+        for fd in parent_fds:
+            os.close(fd)
+        with open(write_fd, "wb") as pipe, open(tables_fd, "rb") as tables_pipe:
             try:
-                kernel.seek(seed_state(pool, lo))
+                _send(pipe, [nonresidue_bits(p) for p in front[k::count]])
+                tables = marshal.load(tables_pipe)
+                kernel = ResidueFilter(pool, seed_state(pool, lo), tables)
                 for end in _segment_ends(lo, hi, interval):
                     found: list[int] = []
                     kernel.scan_to(end, found.append)
-                    marshal.dump((found, kernel.state().residues), pipe)
-                    pipe.flush()
-                marshal.dump(dict(kernel.rejections), pipe)
+                    _send(pipe, (found, kernel.state().residues))
+                _send(pipe, dict(kernel.rejections))
                 code = 0
             except Exception as exc:
-                marshal.dump(" ".join(f"{type(exc).__name__}: {exc}".split()), pipe)
+                _send(pipe, " ".join(f"{type(exc).__name__}: {exc}".split()))
     finally:
         os._exit(code)
 
 
 class _Child:
-    """A shard child as its parent sees it: pid and the read end of its pipe."""
+    """A shard child as its parent sees it: pid, the read end of the pipe
+    its records come on and the write end of the one its tables go on
+    (closed once they are sent)."""
 
-    def __init__(self, pid: int, pipe: BinaryIO, lo: int, hi: int) -> None:
+    def __init__(self, pid: int, pipe: BinaryIO, tables_fd: int, k: int,
+                 lo: int, hi: int) -> None:
         self.pid: int | None = pid
         self.pipe = pipe
-        self.lo, self.hi = lo, hi
+        self.tables_fd: int | None = tables_fd
+        self.k, self.lo, self.hi = k, lo, hi
 
-    def receive(self) -> "tuple[list[int], list[int]] | dict[int, int]":
+    def _fail(self, reason: str) -> NoReturn:
+        raise ShardError(f"scan shard n={self.lo + 1}..{self.hi}: {reason}")
+
+    def _exit_reason(self, when: str) -> str:
+        code = os.waitstatus_to_exitcode(self.reap())
+        return (f"killed by signal {-code}" if code < 0 else
+                f"exited with status {code}") + f" before {when}"
+
+    def receive(self, what: str = "result") -> "tuple[list[int], list[int]] | dict[int, int]":
         """The child's next record; ShardError if it failed or died first."""
         try:
             record = marshal.load(self.pipe)
         except (EOFError, ValueError, TypeError):
-            record = None
-        if record is None or isinstance(record, str):
-            if record is None:
-                code = os.waitstatus_to_exitcode(self.reap())
-                record = (f"killed by signal {-code}" if code < 0 else
-                          f"exited with status {code}") + " before sending its result"
-            raise ShardError(f"scan shard n={self.lo + 1}..{self.hi}: {record}")
+            self._fail(self._exit_reason(f"sending its {what}"))
+        if isinstance(record, str):
+            self._fail(record)
         return record
+
+    def receive_tables(self, primes: tuple[int, ...]) -> list[bytes]:
+        """The child's tables for `primes`, each checked by `table_matches`."""
+        tables = self.receive("tables")
+        if not isinstance(tables, list) or len(tables) != len(primes):
+            self._fail(f"sent {type(tables).__name__} in place of {len(primes)} tables")
+        for p, table in zip(primes, tables):
+            if not table_matches(p, table):
+                self._fail(f"sent a table for p={p} that fails its check")
+        return tables
+
+    def send(self, tables: bytes) -> None:
+        """Write the marshalled full table set to the child and close that
+        pipe; closing it also closes the descriptor when the write fails."""
+        fd, self.tables_fd = self.tables_fd, None
+        try:
+            with open(fd, "wb") as pipe:
+                pipe.write(tables)
+        except BrokenPipeError:
+            self._fail(self._exit_reason("receiving its tables"))
 
     def reap(self) -> int:
         _, status = os.waitpid(self.pid, 0)
@@ -425,3 +498,5 @@ class _Child:
             os.kill(self.pid, signal.SIGKILL)
             self.reap()
         self.pipe.close()
+        if self.tables_fd is not None:
+            os.close(self.tables_fd)

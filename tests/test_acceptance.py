@@ -16,7 +16,7 @@ from brocard.epsilon_lab import check_f_monotone, epsilon_digits, nine_run
 from brocard.exact_arith import decimal_str, isqrt, legendre
 from brocard.factorial_engine import advance, build_prime_pool, initial_state
 from brocard.poly_system import LatticePoint, eval_system, solve_window
-from brocard.qr_filter import ResidueFilter, passes
+from brocard.qr_filter import ResidueFilter, nonresidue_bits, passes, table_ranks
 from brocard.cli_reporting import ReportWriter, dispatch
 from brocard.search_engine import SearchConfig, run
 
@@ -159,7 +159,8 @@ def test_criterion_7_filter_soundness_to_2000():
     t0 = time.perf_counter()
     pool = build_prime_pool(2000, 48)
     # the scan's kernel over the whole range, as `search` runs it
-    kernel = ResidueFilter(pool, initial_state(pool), 2000)
+    front = pool.primes[:table_ranks(pool.primes, 2000)]
+    kernel = ResidueFilter(pool, initial_state(pool), [nonresidue_bits(p) for p in front])
     kernel_survivors: list[int] = []
     kernel.scan_to(2000, kernel_survivors.append)
     # reference: `passes` at every n on the stepped residue stream

@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import io
 import json
+import math
 
 import pytest
 
+from brocard import cli_reporting
 from brocard.cli_reporting import (
     ReportIntegrityError,
     ReportLine,
@@ -139,6 +141,19 @@ def test_resume_of_a_finished_scan_writes_nothing(tmp_path, capsys, max_n):
     assert before.count(b'"kind":"summary"') == 1
 
 
+def test_resumed_search_names_the_range_it_scanned(tmp_path, capsys):
+    # a scan stopped at its checkpoint (the report is discarded) and
+    # resumed scans only the rest, and says so
+    report, ck = tmp_path / "scan.jsonl", tmp_path / "scan.ck"
+    args = ["search", "--max-n", "100050", "--checkpoint", str(ck), "--report", str(report)]
+    assert dispatch(args) == 0
+    assert "scan 2..100050 done:" in capsys.readouterr().err
+    report.write_bytes(b"")
+    assert dispatch(args + ["--resume"]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("scan 100001..100050 done: 0 solution(s), 0 unresolved, ")
+
+
 def test_search_cli_writes_report_to_stdout(capsys):
     assert dispatch(["search", "--max-n", "10"]) == 0
     out = capsys.readouterr().out
@@ -182,6 +197,25 @@ def test_table_cli_flags_misquoted_rows(capsys):
     for n in (4, 5, 7):
         row = next(l for l in lines if l.lstrip().startswith(f"{n} "))
         assert "yes" in row
+
+
+@pytest.mark.parametrize("argv", [["verify", "40"], ["epsilon", "40", "--nine-run"],
+                                  ["table", "--from", "38", "--to", "40"]])
+def test_exact_commands_give_notice_past_the_threshold(monkeypatch, capsys, argv):
+    # below the threshold nothing goes to stderr; from it on, one line with
+    # n and the digit count of n!, and stdout keeps its bytes
+    assert dispatch(argv) == 0
+    quiet = capsys.readouterr()
+    assert quiet.err == ""
+    monkeypatch.setattr(cli_reporting, "_STALL_NOTICE_N", 40)
+    assert dispatch(argv) == 0
+    noisy = capsys.readouterr()
+    assert noisy.out == quiet.out
+    assert noisy.err == (f"{argv[0]}: n=40: exact arithmetic on n! "
+                         f"({len(str(math.factorial(40)))} digits), this can take minutes\n")
+    # past the exact ceiling the command fails at once, with no notice
+    assert dispatch(["verify", str(cli_reporting.EXACT_FACTORIAL_CEILING + 1)]) == 2
+    assert capsys.readouterr().err.startswith("limit: ")
 
 
 def test_polysys_cli(capsys):

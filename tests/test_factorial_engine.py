@@ -140,7 +140,7 @@ def test_seed_state_matches_exact_and_streamed(size, max_n, data):
         f = math.factorial(n)
         assert seeded.n == n
         assert seeded.residues == [f % p for p in pool.primes]
-        kernel = ResidueFilter(pool, initial_state(pool), max_n)
+        kernel = ResidueFilter(pool, initial_state(pool), [])
         kernel.scan_to(n, lambda n: None)
         assert kernel.state().residues == seeded.residues
 

@@ -14,7 +14,14 @@ from brocard.factorial_engine import (
     build_prime_pool,
     initial_state,
 )
-from brocard.qr_filter import ResidueFilter, nonresidue_bits, passes, table_pays
+from brocard.qr_filter import (
+    ResidueFilter,
+    nonresidue_bits,
+    passes,
+    table_matches,
+    table_pays,
+    table_ranks,
+)
 
 
 def _state_at(pool, n):
@@ -27,6 +34,12 @@ def _state_at(pool, n):
 def _exact_state(pool, n):
     f = math.factorial(n)
     return FactorialState(n=n, residues=[f % p for p in pool.primes])
+
+
+def _kernel(pool, state, stop):
+    """The kernel at `state` with the front tables a scan to `stop` builds."""
+    front = pool.primes[:table_ranks(pool.primes, stop - state.n)]
+    return ResidueFilter(pool, state, [nonresidue_bits(p) for p in front])
 
 
 def _reference(pool, lo, hi):
@@ -44,7 +57,7 @@ def _reference(pool, lo, hi):
 
 def _kernel_verdicts(pool, start, stop):
     """n -> rejecting prime or None for n = start + 1 .. stop, one n per call."""
-    kernel = ResidueFilter(pool, _exact_state(pool, start), stop)
+    kernel = _kernel(pool, _exact_state(pool, start), stop)
     verdicts = {}
     for n in range(start + 1, stop + 1):
         before = Counter(kernel.rejections)
@@ -166,6 +179,34 @@ def test_table_side_follows_segment_length():
     assert not any(table_pays(p, i, 10_000) for i, p in enumerate(scan))
     # whatever the span, no table past the size cap
     assert not table_pays(2**31 - 1, 0, 2**32)
+    # the front is the ranks that pay, up to its width: 4 for the scan and
+    # settle shapes, none for the resume one, all of a smaller pool
+    assert table_ranks(build_prime_pool(1_000_000, 48).primes, 1_000_000) == 4
+    assert table_ranks(build_prime_pool(30_600, 8).primes, 30_600) == 4
+    assert table_ranks(build_prime_pool(1_000_000, 48).primes, 10_000) == 0
+    assert table_ranks(build_prime_pool(1_000_000, 2).primes, 1_000_000) == 2
+    # rank 4 would pay at 10**6 too, but the loop has 4 slots
+    assert table_pays(build_prime_pool(1_000_000, 5).primes[4], 4, 1_000_000)
+
+
+@pytest.mark.parametrize("p", [3, 11, 1009, 30011])
+def test_table_matches_refuses_torn_and_foreign_tables(p):
+    table = nonresidue_bits(p)
+    assert table_matches(p, table)
+    assert not table_matches(p, table[:-1])
+    assert not table_matches(p, table + b"\x00")
+    assert not table_matches(p, bytearray(table))
+    assert not table_matches(p, None)
+    # the zero-symbol bit (r = p - 1) is checked
+    r = p - 1
+    flipped = bytearray(table)
+    flipped[r >> 3] |= 1 << (r & 7)
+    assert not table_matches(p, bytes(flipped))
+    # a table of the same length built for another prime
+    if p > 11:
+        other = next(q for q in range(p + 2, 2 * p, 2)
+                     if all(q % d for d in range(3, int(q ** 0.5) + 1, 2)))
+        assert not table_matches(p, (nonresidue_bits(other) + bytes(8))[:len(table)])
 
 
 @settings(max_examples=80, deadline=None)
@@ -190,7 +231,7 @@ def test_kernel_matches_reference(size, max_n, side, data):
     cuts = sorted(set(data.draw(st.lists(st.integers(start + 1, stop), max_size=4),
                                 label="cuts")) | {stop})
 
-    kernel = ResidueFilter(pool, _exact_state(pool, start), stop)
+    kernel = _kernel(pool, _exact_state(pool, start), stop)
     reference = _reference(pool, start + 1, stop)
     lo = start
     for hi in cuts:
@@ -211,10 +252,10 @@ def test_seek_repositions_with_fresh_counts(size):
     # shard does with the tables of its parent) filters exactly like a
     # kernel built at that position
     pool = build_prime_pool(3000, size)
-    used = ResidueFilter(pool, _exact_state(pool, 0), 3000)
+    used = _kernel(pool, _exact_state(pool, 0), 3000)
     used.scan_to(1200, lambda n: None)
     used.seek(_exact_state(pool, 1800))
-    fresh = ResidueFilter(pool, _exact_state(pool, 1800), 3000)
+    fresh = _kernel(pool, _exact_state(pool, 1800), 3000)
     survivors = {"used": [], "fresh": []}
     used.scan_to(3000, survivors["used"].append)
     fresh.scan_to(3000, survivors["fresh"].append)

@@ -4,6 +4,8 @@ counts exactly what a one-process scan does, and fails as a whole."""
 from __future__ import annotations
 
 import functools
+import math
+import marshal
 import os
 import shutil
 import signal
@@ -14,7 +16,8 @@ import pytest
 
 from brocard import cli_reporting, search_engine
 from brocard.cli_reporting import dispatch
-from brocard.qr_filter import ResidueFilter
+from brocard.factorial_engine import build_prime_pool, primes_above
+from brocard.qr_filter import ResidueFilter, table_ranks
 from brocard.search_engine import SearchConfig, ShardError, run
 
 _SAVE = search_engine.save_checkpoint
@@ -122,17 +125,65 @@ def test_shard_count_follows_cores_and_span(monkeypatch):
     assert search_engine._shard_count(10 * span) == 1
 
 
-def test_shard_bounds_cut_at_checkpoint_boundaries():
-    assert search_engine._shard_bounds(0, 1_000_123, 2, 100_000) == [0, 500_000, 1_000_123]
-    bounds = search_engine._shard_bounds(250, 10_000, 4, 100)
-    assert bounds[0] == 250 and bounds[-1] == 10_000 and len(bounds) == 5
-    assert bounds == sorted(set(bounds))
-    assert all(cut % 100 == 0 for cut in bounds[1:-1])
-    # later shards pay for seeding their start, so they get fewer n
-    sizes = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
-    assert sizes == sorted(sizes, reverse=True)
-    # a grid coarser than the span leaves nowhere to cut
-    assert search_engine._shard_bounds(0, 5000, 4, 10_000) == [0, 5000]
+def test_shard_bounds_balance_seeding_off_the_grid():
+    keep = 1 - search_engine._SEED_COST
+    for start, stop, count in [(0, 1_000_123, 2), (250, 10_000, 4), (40_000, 700_000, 3)]:
+        bounds = search_engine._shard_bounds(start, stop, count)
+        assert bounds[0] == start and bounds[-1] == stop and len(bounds) == count + 1
+        assert bounds == sorted(set(bounds))
+        # shard k > 0 seeds its start, then scans: every shard costs what
+        # shard 0 does, up to rounding
+        costs = [hi - lo + (1 - keep) * lo * (k > 0)
+                 for k, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
+        assert max(costs) - min(costs) < 2
+        # so later shards get fewer n
+        sizes = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+        assert sizes == sorted(sizes, reverse=True)
+    # the 10**6 scan is cut where the balance falls, not on the 10**5 grid
+    assert search_engine._shard_bounds(0, 1_000_123, 2)[1] % 100_000 != 0
+    # a span too short for every shard keeps the cuts that fall strictly
+    # inside it
+    assert search_engine._shard_bounds(0, 2, 4) == [0, 1, 2]
+    assert search_engine._shard_bounds(7, 7, 3) == [7, 7]
+
+
+def _checkpoint_positions(log):
+    return [int(entry.split(b"\nn=")[1].split(b"\n")[0]) for entry in log
+            if isinstance(entry, bytes)]
+
+
+@pytest.mark.parametrize("stop_n,written", [
+    (None, list(range(100, 3001, 100))),
+    (2950, list(range(100, 2901, 100)) + [2950]),
+], ids=["to max_n", "stopped off the grid"])
+def test_checkpoints_only_on_the_grid_or_at_stop(tmp_path, monkeypatch, stop_n, written):
+    # the 2- and 4-shard cuts fall inside checkpoint segments; no checkpoint
+    # is written there
+    config = SearchConfig(max_n=3000, pool_size=3, checkpoint_path=str(tmp_path / "scan.ck"),
+                          checkpoint_interval=100, stop_n=stop_n)
+    for shards in (2, 4):
+        cuts = search_engine._shard_bounds(0, stop_n or 3000, shards)[1:-1]
+        assert len(cuts) == shards - 1 and all(cut % 100 for cut in cuts)
+        _, log = _scan(monkeypatch, config, shards)
+        assert _checkpoint_positions(log) == written
+
+
+def test_rank_shares_halve_with_rank(monkeypatch):
+    # The pool prime at rank k sees the n that every earlier prime passed,
+    # about 2**-k of them, and rejects about half. A table lost or blanked
+    # on its way between shards, or built to reject more or less than the
+    # nonresidues, shifts these shares; a comparison with a one-process run
+    # does not notice a fault that both runs share.
+    _force_shards(monkeypatch, 2)
+    summary = run(SearchConfig(max_n=300_000))
+    scanned = 300_000 - 1
+    pool = build_prime_pool(300_000, 48)
+    assert table_ranks(pool.primes, scanned + 1) == 4
+    for k, p in enumerate(pool.primes[:8]):
+        share = 2.0 ** -(k + 1)
+        expected = scanned * share
+        sigma = math.sqrt(scanned * share * (1 - share))
+        assert abs(summary.rejections_by_prime.get(p, 0) - expected) < 5 * sigma, (k, p)
 
 
 def _cli_search(*extra):
@@ -181,26 +232,34 @@ def _fail_in_child(monkeypatch, at, how):
     monkeypatch.setattr(ResidueFilter, "scan_to", failing)
 
 
-@pytest.mark.parametrize("how,message", [
-    ("raise", "scan shard n=1601..3000: RuntimeError: injected fault"),
-    ("kill", "scan shard n=1601..3000: killed by signal 9 before sending its result"),
-])
-def test_failed_child_stops_at_last_finished_segment(tmp_path, monkeypatch, how, message):
+@pytest.mark.parametrize("how", ["raise", "kill"])
+@pytest.mark.parametrize("at,last_checkpoint", [(2000, 1900), (1700, 1600)])
+def test_failed_child_stops_at_last_finished_segment(tmp_path, monkeypatch, how, at,
+                                                     last_checkpoint):
     ck = str(tmp_path / "scan.ck")
     config = SearchConfig(max_n=3000, pool_size=2, checkpoint_path=ck, checkpoint_interval=100)
     _, clean = _scan(monkeypatch, config, 1)
 
     _force_shards(monkeypatch, 2)
+    cut = search_engine._shard_bounds(0, 3000, 2)[1]
+    assert 1600 < cut < 1700
     log, pids = _record(monkeypatch)
-    _fail_in_child(monkeypatch, 2000, how)
+    _fail_in_child(monkeypatch, at, how)
     with pytest.raises(ShardError) as info:
         run(config, on_event=lambda *event: log.append(event))
-    assert str(info.value) == message
+    assert str(info.value) == f"scan shard n={cut + 1}..3000: " + {
+        "raise": "RuntimeError: injected fault",
+        "kill": "killed by signal 9 before sending its result",
+    }[how]
     _assert_reaped(pids)
-    # the child finished 1601..1900 before failing at its 2000 segment:
-    # everything up to the checkpoint at 1900, once, and nothing past it
+    # Failing at its 2000 segment, the child had finished up to 1900.
+    # Failing at 1700, it had not finished the second half of the segment
+    # 1601..1700 that the cut splits, so nothing of that segment is out,
+    # not even what shard 0 found in its first half. Either way the output
+    # is everything up to the last checkpoint, once, and nothing past it.
     checkpoints = [entry for entry in clean if isinstance(entry, bytes)]
-    assert log == clean[:clean.index(checkpoints[18]) + 1]
+    assert _checkpoint_positions(log)[-1] == last_checkpoint
+    assert log == clean[:clean.index(checkpoints[last_checkpoint // 100 - 1]) + 1]
 
 
 def test_cli_exits_2_on_a_failed_child_and_resumes_exactly(tmp_path, monkeypatch, capsys):
@@ -222,6 +281,89 @@ def test_cli_exits_2_on_a_failed_child_and_resumes_exactly(tmp_path, monkeypatch
     # byte for byte
     assert _cli_search("--checkpoint", ck, "--report", str(report),
                        "--resume") == 0
+    assert report.read_bytes() == clean.read_bytes()
+
+
+def _break_child_tables(monkeypatch, how):
+    """Shard children die before or while sending their tables, or before
+    receiving the full set, or send a truncated table, or one of the right
+    length built for another prime."""
+    parent = os.getpid()
+    build, send = search_engine.nonresidue_bits, search_engine._send
+    hand_over = search_engine._Child.send
+
+    def bits(p):
+        if os.getpid() != parent:
+            if how == "dies before sending":
+                os.kill(os.getpid(), signal.SIGKILL)
+            if how == "truncated":
+                return build(p)[:-1]
+            if how == "another prime's":
+                return (build(next(primes_above(p))) + bytes(8))[:(p + 7) >> 3]
+        return build(p)
+
+    def sending(pipe, record):
+        if os.getpid() != parent and how == "dies while sending" and isinstance(record, list):
+            data = marshal.dumps(record)
+            pipe.write(data[:len(data) // 2])
+            pipe.flush()
+            os.kill(os.getpid(), signal.SIGKILL)
+        send(pipe, record)
+        if os.getpid() != parent and how == "dies before receiving" and isinstance(record, list):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    def handing_over(child, tables):
+        # the parent writes only once the child is gone (not reaped yet)
+        if how == "dies before receiving":
+            os.waitid(os.P_PID, child.pid, os.WEXITED | os.WNOWAIT)
+        hand_over(child, tables)
+
+    monkeypatch.setattr(search_engine, "nonresidue_bits", bits)
+    monkeypatch.setattr(search_engine, "_send", sending)
+    monkeypatch.setattr(search_engine._Child, "send", handing_over)
+
+
+_TABLE_FAILURES = {
+    "dies before sending": "killed by signal 9 before sending its tables",
+    "dies while sending": "killed by signal 9 before sending its tables",
+    "dies before receiving": "killed by signal 9 before receiving its tables",
+    "truncated": "sent a table for p=2011 that fails its check",
+    "another prime's": "sent a table for p=2011 that fails its check",
+}
+
+
+@pytest.mark.parametrize("how", list(_TABLE_FAILURES))
+def test_bad_table_exchange_exits_2_before_any_output(tmp_path, monkeypatch, capsys, how):
+    # A scan stopped at 700 (checkpoint and report lines up to there) is
+    # resumed over 2 shards; the child's table for rank 1 (p = 2011) never
+    # arrives whole or fails its check, or the child is gone when the full
+    # set is handed over. The resume stops before scanning
+    # anything: report and checkpoint keep their bytes, so a resume that
+    # works completes the report as a clean run writes it.
+    interval = functools.partial(SearchConfig, checkpoint_interval=100)
+    monkeypatch.setattr(cli_reporting, "SearchConfig", interval)
+    clean = tmp_path / "clean.jsonl"
+    assert _cli_search("--report", str(clean)) == 0
+    report, ck = tmp_path / "report.jsonl", tmp_path / "scan.ck"
+    with monkeypatch.context() as m:
+        m.setattr(cli_reporting, "SearchConfig", functools.partial(interval, stop_n=700))
+        assert _cli_search("--checkpoint", str(ck), "--report", str(report)) == 0
+    capsys.readouterr()
+    before = report.read_bytes(), ck.read_bytes()
+
+    _force_shards(monkeypatch, 2)
+    cut = search_engine._shard_bounds(700, 2000, 2)[1]
+    with monkeypatch.context() as m:
+        _, pids = _record(m)
+        _break_child_tables(m, how)
+        code = _cli_search("--checkpoint", str(ck), "--report", str(report), "--resume")
+    assert code == 2
+    assert capsys.readouterr().err == (f"search: scan shard n={cut + 1}..2000: "
+                                       f"{_TABLE_FAILURES[how]}\n")
+    assert len(pids) == 1
+    _assert_reaped(pids)
+    assert (report.read_bytes(), ck.read_bytes()) == before
+    assert _cli_search("--checkpoint", str(ck), "--report", str(report), "--resume") == 0
     assert report.read_bytes() == clean.read_bytes()
 
 
