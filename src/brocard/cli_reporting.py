@@ -19,9 +19,7 @@ import json
 import math
 import os
 import sys
-import traceback
-from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO, NamedTuple
 
 from . import __version__, conditions
 from .epsilon_lab import (
@@ -32,7 +30,6 @@ from .epsilon_lab import (
 )
 from .exact_arith import BitBudgetError, decimal_str
 from .factorial_engine import EXACT_FACTORIAL_CEILING, CeilingError, is_factorial
-from .poly_system import solve_window
 from .search_engine import (
     DEFAULT_POOL_SIZE,
     CheckpointError,
@@ -60,8 +57,7 @@ class ReportFormatError(Exception):
     """An existing report to be appended to holds a line that is not a report line."""
 
 
-@dataclass(frozen=True)
-class ReportLine:
+class ReportLine(NamedTuple):
     kind: str
     n: int | None = None
     m: int | None = None
@@ -176,19 +172,6 @@ class ReportWriter:
     def close(self) -> None:
         if self._owns and self._stream is not None:
             self._stream.close()
-
-
-def emit_report(lines: Iterable[ReportLine], dest: str | IO[str] | None = None) -> None:
-    """Write a batch of report lines to a path, a stream, or stdout."""
-    if dest is None or isinstance(dest, str):
-        writer = ReportWriter.open(dest)
-    else:
-        writer = ReportWriter(dest, owns_stream=False)
-    try:
-        for line in lines:
-            writer.emit(line)
-    finally:
-        writer.close()
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +377,8 @@ def _cmd_polysys(args: argparse.Namespace) -> int:
     if args.ymin > args.ymax:
         print("error: --ymin must not exceed --ymax", file=sys.stderr)
         return 1
+    from .poly_system import solve_window  # only this command needs it
+
     for point in solve_window(args.ymin, args.ymax, factorials_only=args.factorials):
         if args.factorials:
             n = is_factorial(point.x)
@@ -438,6 +423,8 @@ def dispatch(argv: list[str] | None = None) -> int:
         print(f"io: {exc}", file=sys.stderr)
         return 2
     except Exception:
+        import traceback  # only an internal error needs it
+
         traceback.print_exc()
         return 2
 

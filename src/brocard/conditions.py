@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exact_arith import isqrt, legendre
 from .factorial_engine import EXACT_FACTORIAL_CEILING, factorial_exact, primes_above
@@ -30,8 +30,7 @@ class NotASolutionError(ValueError):
     """Raised when a decomposition only defined at solutions is requested elsewhere."""
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     """Verdict for one n. A certificate verdict carries rejecting_prime
     and leaves the exact fields (k, m_candidate, k_even, defect) None."""
 
@@ -46,8 +45,7 @@ class VerifyReport:
     rejecting_prime: int | None = None
 
 
-@dataclass(frozen=True)
-class FactorStructure:
+class FactorStructure(NamedTuple):
     """n! = 2a * 2**(e-1) * b with a, b odd, e the 2-adic valuation of n!.
 
     half_even is the factor of {k, k+2} congruent to 2 mod 4 (it equals
@@ -60,20 +58,6 @@ class FactorStructure:
     e: int
     half_even: int
     half_pow: int
-
-
-def candidate_m(n: int, *, ceiling: int = EXACT_FACTORIAL_CEILING) -> int:
-    """The only integer whose square can equal n! + 1, namely isqrt(n!) + 1."""
-    return isqrt(factorial_exact(n, ceiling=ceiling)) + 1
-
-
-def defect(n: int, *, ceiling: int = EXACT_FACTORIAL_CEILING) -> int:
-    """n! - isqrt(n!)**2. Lies in [0, 2k]; equals 2k exactly at solutions."""
-    f = factorial_exact(n, ceiling=ceiling)
-    k = isqrt(f)
-    d = f - k * k
-    assert 0 <= d <= 2 * k
-    return d
 
 
 def factorial_mod(n: int, q: int) -> int:
@@ -160,16 +144,6 @@ def verify(n: int, *, ceiling: int = EXACT_FACTORIAL_CEILING,
         is_solution=sol,
         m=k + 1 if sol else None,
     )
-
-
-def bound_check(n: int, *, ceiling: int = EXACT_FACTORIAL_CEILING) -> bool:
-    """n! <= k(k + 2), with equality exactly at solutions."""
-    f = factorial_exact(n, ceiling=ceiling)
-    k = isqrt(f)
-    product = k * (k + 2)
-    assert f <= product
-    assert (f < product) == (f - k * k != 2 * k)
-    return True
 
 
 def factor_structure(n: int, *, ceiling: int = EXACT_FACTORIAL_CEILING) -> FactorStructure:

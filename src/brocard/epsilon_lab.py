@@ -9,7 +9,7 @@ measures how close.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exact_arith import ScaledDecimal, isqrt, sqrt_digits
 from .factorial_engine import EXACT_FACTORIAL_CEILING, factorial_exact
@@ -18,8 +18,7 @@ DEFAULT_NINE_RUN_CAP = 1 << 21
 _NINE_RUN_START = 64
 
 
-@dataclass(frozen=True)
-class EpsilonProfile:
+class EpsilonProfile(NamedTuple):
     n: int
     digits_computed: int
     epsilon: ScaledDecimal

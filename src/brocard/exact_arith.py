@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 
 # Bit budget for scaled operands, overridable via environment.
 DEFAULT_BIT_BUDGET = 1 << 26
@@ -20,6 +19,14 @@ _LOG2_10 = 3.3219280948873626
 
 # Deterministic Miller-Rabin witness set for moduli below 2^64.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Below _MR_SMALL_LIMIT the witnesses 2, 7 and 61 suffice (Jaeschke 1993):
+# the limit itself is the least odd composite all three pass. It covers
+# every pool prime (max_n < 2**32) and every certificate prime of a scan.
+_MR_SMALL_WITNESSES = (2, 7, 61)
+_MR_SMALL_LIMIT = 4_759_123_141
+# Trial divisors: the primes up to 61. They include every witness of
+# either set, so no witness is 0 mod an input that reaches the rounds.
+_TRIAL_DIVISORS = _MR_WITNESSES + (41, 43, 47, 53, 59, 61)
 
 
 class BitBudgetError(Exception):
@@ -91,7 +98,6 @@ def root_defect(x: int, r: int) -> int:
     return d
 
 
-@dataclass(frozen=True)
 class ScaledDecimal:
     """mantissa * 10**-frac_digits, truncated, never rounded.
 
@@ -99,14 +105,26 @@ class ScaledDecimal:
     different precisions compare via their digit strings.
     """
 
-    mantissa: int
-    frac_digits: int
+    __slots__ = ("mantissa", "frac_digits")
 
-    def __post_init__(self) -> None:
-        if self.mantissa < 0:
+    def __init__(self, mantissa: int, frac_digits: int) -> None:
+        if mantissa < 0:
             raise ValueError("mantissa must be non-negative")
-        if self.frac_digits < 0:
+        if frac_digits < 0:
             raise ValueError("frac_digits must be non-negative")
+        self.mantissa = mantissa
+        self.frac_digits = frac_digits
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ScaledDecimal):
+            return NotImplemented
+        return (self.mantissa, self.frac_digits) == (other.mantissa, other.frac_digits)
+
+    def __hash__(self) -> int:
+        return hash((self.mantissa, self.frac_digits))
+
+    def __repr__(self) -> str:
+        return f"ScaledDecimal(mantissa={self.mantissa!r}, frac_digits={self.frac_digits!r})"
 
     @property
     def integer_part(self) -> int:
@@ -156,17 +174,6 @@ def sqrt_digits(x: int, d: int, bit_budget: int | None = None) -> ScaledDecimal:
     return ScaledDecimal(mantissa, d)
 
 
-def modpow(a: int, e: int, p: int) -> int:
-    """a**e mod p for 0 <= a < p, e >= 0, p >= 2."""
-    if p < 2:
-        raise ValueError("modulus must be >= 2")
-    if not 0 <= a < p:
-        raise ValueError("base must be reduced mod p")
-    if e < 0:
-        raise ValueError("exponent must be non-negative")
-    return pow(a, e, p)
-
-
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a | p) for odd prime p, via Euler's criterion.
 
@@ -187,20 +194,28 @@ def legendre(a: int, p: int) -> int:
 def is_prime_64(p: int) -> bool:
     """Deterministic primality for 0 <= p < 2**64.
 
-    Miller-Rabin with the first twelve prime witnesses, a set known to be
-    exact for all 64-bit inputs.
+    Trial division by the primes up to 61, then Miller-Rabin: with the
+    witnesses 2, 7 and 61 below 4759123141, else with the first twelve
+    prime witnesses, a set known to be exact for all 64-bit inputs.
     """
     if p >= 1 << 64:
         raise ValueError("input exceeds 64 bits")
     if p < 2:
         return False
-    for q in _MR_WITNESSES:
+    for q in _TRIAL_DIVISORS:
         if p % q == 0:
             return p == q
+    return _strong_probable_prime(
+        p, _MR_SMALL_WITNESSES if p < _MR_SMALL_LIMIT else _MR_WITNESSES)
+
+
+def _strong_probable_prime(p: int, witnesses: tuple[int, ...]) -> bool:
+    """Whether the odd p > 2 passes a Miller-Rabin round for each witness,
+    none of which may be 0 mod p."""
     d = p - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for a in _MR_WITNESSES:
+    for a in witnesses:
         x = pow(a, d, p)
         if x == 1 or x == p - 1:
             continue

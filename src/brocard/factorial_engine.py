@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .exact_arith import is_prime_64
 
@@ -33,7 +32,6 @@ class CeilingError(ValueError):
     """A requested value lies beyond a configured or structural limit."""
 
 
-@dataclass(frozen=True)
 class PrimePool:
     """Odd primes strictly above max_n, strictly increasing.
 
@@ -41,28 +39,24 @@ class PrimePool:
     in a factorial stream over this pool are never zero.
     """
 
-    max_n: int
-    primes: tuple[int, ...]
+    __slots__ = ("max_n", "primes")
 
-    def __post_init__(self) -> None:
-        assert self.primes, "pool must be non-empty"
-        prev = max(self.max_n, 2)
-        for p in self.primes:
+    def __init__(self, max_n: int, primes: tuple[int, ...]) -> None:
+        assert primes, "pool must be non-empty"
+        prev = max(max_n, 2)
+        for p in primes:
             assert p > prev and p % 2 == 1, "pool must be odd, increasing, above max_n"
             prev = p
+        self.max_n = max_n
+        self.primes = primes
 
 
-@dataclass
-class FactorialState:
-    """Position n of a factorial residue stream over some pool.
-
-    residues[i] == n! mod pool.primes[i]. The exact value is optional and
-    only carried when a caller asked for it.
-    """
+class FactorialState(NamedTuple):
+    """Position n of a factorial residue stream over some pool:
+    residues[i] == n! mod pool.primes[i]."""
 
     n: int
-    residues: list[int] = field(repr=False)
-    exact: int | None = field(default=None, repr=False)
+    residues: list[int]
 
 
 def primes_above(n: int) -> Iterator[int]:
@@ -85,13 +79,9 @@ def build_prime_pool(max_n: int, count: int) -> PrimePool:
     return PrimePool(max_n=max_n, primes=tuple(itertools.islice(primes_above(max_n), count)))
 
 
-def initial_state(pool: PrimePool, with_exact: bool = False) -> FactorialState:
+def initial_state(pool: PrimePool) -> FactorialState:
     """Stream positioned at n = 0, where n! = 1."""
-    return FactorialState(
-        n=0,
-        residues=[1] * len(pool.primes),
-        exact=1 if with_exact else None,
-    )
+    return FactorialState(n=0, residues=[1] * len(pool.primes))
 
 
 def advance(state: FactorialState, pool: PrimePool) -> FactorialState:
@@ -99,9 +89,7 @@ def advance(state: FactorialState, pool: PrimePool) -> FactorialState:
     if state.n >= pool.max_n:
         raise CeilingError(f"stream at n={state.n} cannot advance past pool max_n={pool.max_n}")
     n = state.n + 1
-    residues = [r * n % p for r, p in zip(state.residues, pool.primes)]
-    exact = state.exact * n if state.exact is not None else None
-    return FactorialState(n=n, residues=residues, exact=exact)
+    return FactorialState(n=n, residues=[r * n % p for r, p in zip(state.residues, pool.primes)])
 
 
 def seed_state(pool: PrimePool, n: int) -> FactorialState:

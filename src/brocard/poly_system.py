@@ -12,14 +12,13 @@ y = m - 1 with m**2 = n! + 1 forces n! = (m - 1)(m + 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exact_arith import isqrt
 from .factorial_engine import is_factorial
 
 
-@dataclass(frozen=True)
-class LatticePoint:
+class LatticePoint(NamedTuple):
     x: int
     y: int
 

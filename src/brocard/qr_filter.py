@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .factorial_engine import FactorialState, PrimePool
 
@@ -47,8 +46,7 @@ _NEVER = b"\x00"
 _SPOT_CHECKS = 64
 
 
-@dataclass(frozen=True)
-class FilterOutcome:
+class FilterOutcome(NamedTuple):
     passed: bool
     rejecting_prime: int | None
     symbols_evaluated: int

@@ -33,8 +33,7 @@ import re
 import threading
 import time
 import zlib
-from dataclasses import dataclass, field
-from typing import BinaryIO, Callable, Iterator, NoReturn
+from typing import BinaryIO, Callable, Iterator, NamedTuple, NoReturn
 
 from . import conditions
 from .factorial_engine import (
@@ -91,8 +90,7 @@ class ShardError(Exception):
     """A forked scan shard raised, died or sent an unreadable record."""
 
 
-@dataclass
-class SearchConfig:
+class SearchConfig(NamedTuple):
     max_n: int
     pool_size: int = DEFAULT_POOL_SIZE
     checkpoint_path: str | None = None
@@ -104,18 +102,38 @@ class SearchConfig:
     stop_n: int | None = None
 
 
-@dataclass
 class SearchSummary:
     """What one run segment did. Counters cover this segment only."""
 
-    scanned_range: tuple[int, int]
-    resumed_from: int | None
-    completed: bool
-    solutions: list[tuple[int, int]] = field(default_factory=list)
-    survivors: int = 0
-    unresolved: list[int] = field(default_factory=list)
-    rejections_by_prime: dict[int, int] = field(default_factory=dict)
-    wall_time_s: float = 0.0
+    _FIELDS = ("scanned_range", "resumed_from", "completed", "solutions", "survivors",
+               "unresolved", "rejections_by_prime", "wall_time_s")
+    __slots__ = _FIELDS
+
+    def __init__(self, scanned_range: tuple[int, int], resumed_from: int | None,
+                 completed: bool, solutions: list[tuple[int, int]] | None = None,
+                 survivors: int = 0, unresolved: list[int] | None = None,
+                 rejections_by_prime: dict[int, int] | None = None,
+                 wall_time_s: float = 0.0) -> None:
+        self.scanned_range = scanned_range
+        self.resumed_from = resumed_from
+        self.completed = completed
+        self.solutions = [] if solutions is None else solutions
+        self.survivors = survivors
+        self.unresolved = [] if unresolved is None else unresolved
+        self.rejections_by_prime = {} if rejections_by_prime is None else rejections_by_prime
+        self.wall_time_s = wall_time_s
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._FIELDS)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SearchSummary):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._FIELDS, self._values()))
+        return f"SearchSummary({fields})"
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from brocard.cli_reporting import (
     ReportLine,
     ReportWriter,
     dispatch,
-    emit_report,
     render_line,
 )
 
@@ -33,35 +32,33 @@ def test_render_line_key_order_and_compactness():
         '{"kind":"rejected","n":6,"rejecting_prime":11}'
 
 
+def _emit(line: ReportLine, stream: io.StringIO | None = None) -> None:
+    ReportWriter(io.StringIO() if stream is None else stream, owns_stream=False).emit(line)
+
+
 def test_emit_report_verifies_solution_lines():
     good = io.StringIO()
-    emit_report([ReportLine(kind="solution", n=7, m=71)], good)
+    _emit(ReportLine(kind="solution", n=7, m=71), good)
     assert good.getvalue() == '{"kind":"solution","n":7,"m":71}\n'
-    with pytest.raises(ReportIntegrityError):
-        emit_report([ReportLine(kind="solution", n=7, m=70)], io.StringIO())
-    with pytest.raises(ReportIntegrityError):
-        emit_report([ReportLine(kind="solution", n=7)], io.StringIO())
-    with pytest.raises(ReportIntegrityError):
-        emit_report([ReportLine(kind="solution", n=10**9, m=3)], io.StringIO())
+    for bad in (ReportLine(kind="solution", n=7, m=70), ReportLine(kind="solution", n=7),
+                ReportLine(kind="solution", n=10**9, m=3)):
+        stream = io.StringIO()
+        with pytest.raises(ReportIntegrityError):
+            _emit(bad, stream)
+        assert stream.getvalue() == ""
 
 
 def test_emit_report_rechecks_rejecting_primes():
     good = io.StringIO()
-    emit_report([ReportLine(kind="survivor", n=10, rejecting_prime=13)], good)
+    _emit(ReportLine(kind="survivor", n=10, rejecting_prime=13), good)
     assert good.getvalue() == '{"kind":"survivor","n":10,"rejecting_prime":13}\n'
     # composite, at or below n, dividing 10! + 1, a residue, not the first
     for q in (15, 7, 11, 17, 19):
         with pytest.raises(ReportIntegrityError):
-            emit_report([ReportLine(kind="survivor", n=10, rejecting_prime=q)], io.StringIO())
+            _emit(ReportLine(kind="survivor", n=10, rejecting_prime=q))
     # a solution has no rejecting prime at all
     with pytest.raises(ReportIntegrityError):
-        emit_report([ReportLine(kind="survivor", n=7, rejecting_prime=11)], io.StringIO())
-
-
-def test_emit_report_to_path(tmp_path):
-    path = str(tmp_path / "out.jsonl")
-    emit_report([ReportLine(kind="survivor", n=12)], path)
-    assert (tmp_path / "out.jsonl").read_text() == '{"kind":"survivor","n":12}\n'
+        _emit(ReportLine(kind="survivor", n=7, rejecting_prime=11))
 
 
 def test_writer_counts_and_summary(tmp_path):

@@ -9,9 +9,6 @@ from hypothesis import strategies as st
 from brocard.conditions import (
     CERTIFICATE_PRIMES,
     NotASolutionError,
-    bound_check,
-    candidate_m,
-    defect,
     factor_structure,
     factorial_mod,
     is_certificate,
@@ -25,16 +22,16 @@ KNOWN_SOLUTIONS = {4: 5, 5: 11, 7: 71}
 
 
 def test_candidate_m_examples():
-    assert candidate_m(4) == 5
-    assert candidate_m(7) == 71
-    assert candidate_m(9) == 603
+    assert verify(4).m_candidate == 5
+    assert verify(7).m_candidate == 71
+    assert verify(9).m_candidate == 603
 
 
 def test_defect_examples():
-    assert defect(3) == 2
-    assert defect(4) == 8
-    assert defect(7) == 140
-    assert defect(10) == 3584
+    assert verify(3).defect == 2
+    assert verify(4).defect == 8
+    assert verify(7).defect == 140
+    assert verify(10).defect == 3584
 
 
 def test_verify_solutions():
@@ -66,8 +63,11 @@ def test_verify_respects_ceiling():
 
 
 def test_bound_check_small_range():
+    # n! <= k(k + 2), with equality exactly at solutions
     for n in range(0, 200):
-        assert bound_check(n)
+        k, f = verify(n).k, math.factorial(n)
+        assert f <= k * (k + 2)
+        assert (f == k * (k + 2)) == (n in KNOWN_SOLUTIONS)
 
 
 def test_theorem_suite_small():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,13 +9,16 @@ from hypothesis import strategies as st
 
 from brocard.exact_arith import (
     BIT_BUDGET_ENV,
+    _MR_SMALL_LIMIT,
+    _MR_SMALL_WITNESSES,
+    _MR_WITNESSES,
     BitBudgetError,
     ScaledDecimal,
+    _strong_probable_prime,
     decimal_str,
     is_prime_64,
     isqrt,
     legendre,
-    modpow,
     root_defect,
     root_floor,
     sqrt_digits,
@@ -172,29 +176,7 @@ def test_decimal_str_beyond_conversion_guard():
 
 
 # ---------------------------------------------------------------------------
-# modpow / legendre
-
-
-def test_modpow_examples():
-    assert modpow(2, 10, 1000003) == 1024
-    assert modpow(5, 5, 11) == 1  # 3125 = 284 * 11 + 1
-    assert modpow(7, 0, 13) == 1
-    assert modpow(0, 5, 13) == 0
-
-
-def test_modpow_validation():
-    with pytest.raises(ValueError):
-        modpow(3, 4, 1)
-    with pytest.raises(ValueError):
-        modpow(13, 2, 11)
-    with pytest.raises(ValueError):
-        modpow(3, -1, 11)
-
-
-def test_modpow_agrees_with_plain_pow():
-    for a in range(11):
-        for e in range(8):
-            assert modpow(a, e, 11) == (a**e) % 11
+# legendre
 
 
 def test_legendre_examples():
@@ -251,6 +233,30 @@ def test_is_prime_64_strong_pseudoprime_traps():
     assert is_prime_64(2**61 - 1)
     assert is_prime_64(18446744073709551557)  # largest prime below 2^64
     assert not is_prime_64(2**64 - 1)
+
+
+def test_is_prime_64_at_the_witness_cut():
+    # the witnesses themselves are prime, though each is 0 mod itself
+    for p in _MR_SMALL_WITNESSES:
+        assert is_prime_64(p)
+    # the least odd composite that passes all three witnesses, where the
+    # twelve take over
+    assert _MR_SMALL_LIMIT == 4759123141 == 48781 * 97561
+    assert _strong_probable_prime(_MR_SMALL_LIMIT, _MR_SMALL_WITNESSES)
+    assert not is_prime_64(_MR_SMALL_LIMIT)
+
+
+def test_is_prime_64_small_witnesses_agree_with_twelve_below_the_cut():
+    # the twelve witnesses are exact on every odd input above 37
+    rng = random.Random(4759)
+    sample = [rng.randrange(1 << 32, _MR_SMALL_LIMIT) | 1 for _ in range(20_000)]
+    window = range(_MR_SMALL_LIMIT - 20_000, _MR_SMALL_LIMIT, 2)
+    primes = 0
+    for p in [*sample, *window]:
+        expect = _strong_probable_prime(p, _MR_WITNESSES)
+        assert is_prime_64(p) == expect, p
+        primes += expect
+    assert primes > 1000  # about 2 / ln(4.5e9) of odd inputs
 
 
 def test_is_prime_64_rejects_beyond_64_bits():

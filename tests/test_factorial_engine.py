@@ -74,8 +74,6 @@ def test_initial_state():
     state = initial_state(pool)
     assert state.n == 0
     assert state.residues == [1, 1, 1]
-    assert state.exact is None
-    assert initial_state(pool, with_exact=True).exact == 1
 
 
 def test_advance_steps_match_factorials_mod_p():
@@ -89,14 +87,6 @@ def test_advance_steps_match_factorials_mod_p():
     assert state.residues == [120 % 11, 120 % 13] == [10, 3]
     state = advance(state, pool)
     assert state.n == 6 and state.residues[0] == 720 % 11 == 5
-
-
-def test_advance_carries_exact_value():
-    pool = build_prime_pool(6, 2)
-    state = initial_state(pool, with_exact=True)
-    for _ in range(6):
-        state = advance(state, pool)
-    assert state.exact == 720
 
 
 def test_advance_is_pure():
@@ -117,11 +107,12 @@ def test_advance_refuses_past_pool_ceiling():
 def test_residue_stream_consistency_to_2000():
     # oracle: exact factorial reduced independently at every step
     pool = build_prime_pool(2000, 8)
-    state = initial_state(pool, with_exact=True)
+    state = initial_state(pool)
     for _ in range(2000):
         state = advance(state, pool)
+        f = math.factorial(state.n)
         for r, p in zip(state.residues, pool.primes):
-            assert r == state.exact % p
+            assert r == f % p
             assert r != 0  # pool primes never divide n!
     assert state.n == 2000
 

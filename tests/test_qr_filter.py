@@ -127,13 +127,13 @@ def test_first_rejecting_prime_in_pool_order():
     # oracle: evaluate every symbol directly on n! + 1
     pool = build_prime_pool(60, 10)
     kernel = _kernel_verdicts(pool, 0, 60)
-    state = initial_state(pool, with_exact=True)
+    state = initial_state(pool)
     for _ in range(60):
         state = advance(state, pool)
         if state.n < 2:
             continue
         out = passes(state, pool)
-        value = state.exact + 1
+        value = math.factorial(state.n) + 1
         rejectors = [p for p in pool.primes if legendre(value % p, p) == -1]
         if rejectors:
             assert not out.passed

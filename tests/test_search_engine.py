@@ -119,7 +119,6 @@ def test_checkpoint_roundtrip(tmp_path):
     loaded = load_checkpoint(path, pool)
     assert loaded.n == state.n
     assert loaded.residues == state.residues
-    assert loaded.exact is None
     # atomic write leaves no temp file behind
     assert os.listdir(tmp_path) == ["scan.ck"]
 
