@@ -187,7 +187,8 @@ def legendre(a: int, p: int) -> int:
         return 0
     if s == 1:
         return 1
-    assert s == p - 1, "modulus is not an odd prime"
+    if s != p - 1:
+        raise ValueError("modulus is not an odd prime")
     return -1
 
 

@@ -42,10 +42,12 @@ class PrimePool:
     __slots__ = ("max_n", "primes")
 
     def __init__(self, max_n: int, primes: tuple[int, ...]) -> None:
-        assert primes, "pool must be non-empty"
+        if not primes:
+            raise ValueError("pool must be non-empty")
         prev = max(max_n, 2)
         for p in primes:
-            assert p > prev and p % 2 == 1, "pool must be odd, increasing, above max_n"
+            if not (p > prev and p % 2 == 1):
+                raise ValueError("pool must be odd, increasing, above max_n")
             prev = p
         self.max_n = max_n
         self.primes = primes

@@ -21,19 +21,19 @@ from typing import Callable, NamedTuple
 from .factorial_engine import FactorialState, PrimePool
 
 # Scan loop slots, each streaming one front prime and testing it by its
-# nonresidue table (the loop is written out for exactly this many). The
-# prime at rank i is consulted for about 2**-i of all n, so past a few
-# ranks a table no longer pays for its build (`table_pays`). A fifth slot
-# would cost a multiplication on every n to spare Euler's pow on one n in
-# 32. Pool primes past the front are packed into one residue and caught
-# up only for the n the front passes.
+# nonresidue table (the loop is written out for exactly this many). A
+# fifth slot would cost a multiplication on every n to spare a tail test
+# on one n in 32. Pool primes past the front are packed into one residue
+# and caught up only for the n the front passes.
 _FRONT_WIDTH = 4
 
-# Table or pow, measured on a 2-core x86-64 VM under CPython 3.11 with p
-# near 2**20: a table lookup in place of Euler's pow saves about 1100 ns
-# per symbol, and a table costs about 55 ns per entry to build.
+# Table or pow, measured on a 2-core x86-64 VM under CPython 3.11: a table
+# lookup in place of Euler's pow saves about 1100 ns per symbol with p
+# near 2**20, and a table costs about 8 ns per entry to build, the first
+# build in a process included (7.4 ns near 10**6, 5.5 near 2**24, 7.7 near
+# 10**8).
 _POW_SAVING_NS = 1100
-_BUILD_NS_PER_ENTRY = 55
+_BUILD_NS_PER_ENTRY = 8
 # Building a table passes through a p-byte array; above this no table is
 # built, whatever the segment length.
 _TABLE_MAX_PRIME = 1 << 24
@@ -42,8 +42,11 @@ _TABLE_MAX_PRIME = 1 << 24
 # and bit 0 is clear, so the slot never rejects.
 _NEVER = b"\x00"
 
-# Residues at which `table_matches` checks a table by Euler's criterion.
-_SPOT_CHECKS = 64
+# `nonresidue_bits` copies flags in slices of at most this many bytes, so
+# its transient memory stays near the one p-byte flag array.
+_SLICE_BYTES = 1 << 16
+# bytes.translate table swapping the flags 0 and 1
+_FLIP = b"\x01\x00" + bytes(254)
 
 
 class FilterOutcome(NamedTuple):
@@ -77,7 +80,7 @@ def table_pays(p: int, rank: int, span: int) -> bool:
 
     The prime at rank i is consulted for about 2**-i of all n, since each
     earlier prime rejects about half of what reaches it. A scan cut into
-    shards builds each table once and shares it, so the rule holds for
+    shards builds each table once, before it forks, so the rule holds for
     the whole span whatever the shard count.
     """
     return p < _TABLE_MAX_PRIME and (span * _POW_SAVING_NS >> rank) > p * _BUILD_NS_PER_ENTRY
@@ -85,10 +88,11 @@ def table_pays(p: int, rank: int, span: int) -> bool:
 
 def table_ranks(primes: tuple[int, ...], span: int) -> int:
     """How many leading pool ranks a scan of `span` n tests by table: those
-    where `table_pays` holds, at most the front's width. Since the rule
-    falls with rank, they are a prefix of the pool."""
+    where `table_pays` holds. Since the rule falls with rank, they are a
+    prefix of the pool, and since a scan's span is below its primes, at
+    most about log2(_POW_SAVING_NS / _BUILD_NS_PER_ENTRY) ranks long."""
     width = 0
-    while width < min(_FRONT_WIDTH, len(primes)) and table_pays(primes[width], width, span):
+    while width < len(primes) and table_pays(primes[width], width, span):
         width += 1
     return width
 
@@ -100,76 +104,77 @@ def nonresidue_bits(p: int) -> bytes:
     Indexed by the residue r = n! mod p itself, so a lookup needs no add.
     Bit p - 1 (r + 1 == p, symbol 0) is clear.
     """
-    marks = bytearray(b"\x01") * p
-    marks[p - 1] = 0
-    # marks[x * x % p - 1] = 0 for x = 1 .. (p - 1) / 2. The index steps by
-    # (x + 1)**2 - x**2 = 2x + 1, taken as 2x + 1 - p <= 0 and wrapped back
-    # into range: small-int additions only, about a third faster than
-    # squaring and reducing each x.
-    r = 0
-    for step in range(3 - p, 1, 2):
-        marks[r] = 0
-        r += step
-        if r < 0:
-            r += p
-    # marks holds one 0/1 flag per byte. Lane k (bytes k, k + 8, ...) read
-    # as one little-endian integer and shifted by k moves each flag to bit
-    # k of its own byte; the eight lanes never overlap.
+    # flags[a] = 1 iff a is a nonresidue, for 1 <= a < p. Euler's
+    # criterion settles a <= sqrt(p). Above it, s = p // a and t = p - a*s
+    # give a*s == -t (mod p) with s, t < a, so a's flag is t's flag,
+    # flipped when exactly one of -1 and s is a nonresidue. For one s, a
+    # runs over (p / (s + 1), p / s] while t falls by s: one strided slice
+    # of flags already set, about sqrt(p) slices in all.
+    flags = bytearray(p)
+    half = (p - 1) >> 1
+    root = math.isqrt(p)
+    for a in range(2, root + 1):
+        if pow(a, half, p) != 1:
+            flags[a] = 1
+    minus_one = p & 3 == 3
+    lo = root + 1
+    while lo < p:
+        s = p // lo
+        hi = min(p // s, p - 1)
+        flip = minus_one ^ flags[s]
+        for a in range(lo, hi + 1, _SLICE_BYTES):
+            b = min(a + _SLICE_BYTES, hi + 1)
+            t = p - a * s
+            # t, t - s, ..., down to the t of a = b - 1, which is >= 1
+            block = flags[t:t - (b - a - 1) * s - 1:-s]
+            flags[a:b] = block.translate(_FLIP) if flip else block
+        lo = hi + 1
+    # Bit r is flags[r + 1]. Lane k (flags k + 1, k + 9, ...) read as one
+    # little-endian integer and shifted by k moves each flag to bit k of
+    # its own byte; the eight lanes never overlap. Bit p - 1 would be
+    # flags[p], past the end, so it stays clear.
     packed = 0
     for k in range(8):
-        packed |= int.from_bytes(marks[k::8], "little") << k
+        packed |= int.from_bytes(flags[k + 1::8], "little") << k
     return packed.to_bytes((p + 7) >> 3, "little")
-
-
-def table_matches(p: int, table: object) -> bool:
-    """Whether `table` has the length of `nonresidue_bits(p)` and agrees
-    with Euler's criterion at _SPOT_CHECKS residues spread over 0 .. p - 1.
-
-    A table that arrived from another process is checked this way: a torn
-    one has the wrong length, and one built for another prime disagrees
-    at about half the residues checked.
-    """
-    if not isinstance(table, bytes) or len(table) != (p + 7) >> 3:
-        return False
-    half = (p - 1) >> 1
-    for k in range(_SPOT_CHECKS):
-        r = k * (p - 1) // (_SPOT_CHECKS - 1)
-        if table[r >> 3] >> (r & 7) & 1 != (pow(r + 1, half, p) == p - 1):
-            return False
-    return True
 
 
 class ResidueFilter:
     """The scan kernel: n! mod the pool, filtered at every n >= 2.
 
-    Front: the first len(tables) pool primes, tables[i] being
-    `nonresidue_bits` of the prime at rank i, each carry r = n! mod p,
+    tables[i] is `nonresidue_bits` of the prime at pool rank i, for the
+    leading ranks a scan tests by table. Front: the first
+    min(len(tables), _FRONT_WIDTH) of them each carry r = n! mod p,
     advanced as r = r * n % p and looked up in its table on every n.
     Tail: the remaining primes share one residue R = n! mod their
     product, multiplied up to n only for the n that pass the front, then
-    tested prime by prime with Euler's pow. Primes are tested in pool
-    order, so the recorded rejecting prime is the first in pool order, as
-    with `passes`.
+    tested prime by prime: by r = R mod p and a table lookup while tables
+    last, by Euler's pow after. Primes are tested in pool order, so the
+    recorded rejecting prime is the first in pool order, as with `passes`.
     """
 
     def __init__(self, pool: PrimePool, state: FactorialState, tables: list[bytes]) -> None:
         primes = pool.primes
-        self._width = len(tables)
-        assert self._width <= min(_FRONT_WIDTH, len(primes))
+        assert len(tables) <= len(primes)
+        self._width = width = min(len(tables), _FRONT_WIDTH)
         # A front narrower than the loop is padded with modulus-1 slots
         # that never reject, so the scan loop has one shape.
-        pad = _FRONT_WIDTH - self._width
-        self._moduli = list(primes[: self._width]) + [1] * pad
-        self._tables = list(tables) + [_NEVER] * pad
-        self._tail_primes = primes[self._width:]
-        self._tail = [(p, (p - 1) >> 1) for p in self._tail_primes]
-        self._modulus = math.prod(self._tail_primes)
+        pad = _FRONT_WIDTH - width
+        self._moduli = list(primes[:width]) + [1] * pad
+        self._tables = list(tables[:width]) + [_NEVER] * pad
+        self._tail_primes = tail = primes[width:]
+        # (tail rank, p, table) while tables last, then (tail rank, p, (p - 1) / 2)
+        tabled = len(tables) - width
+        self._tail_tables = [(i, p, table) for i, (p, table)
+                             in enumerate(zip(tail, tables[width:]))]
+        self._tail_pows = [(i, p, (p - 1) >> 1) for i, p in enumerate(tail[tabled:], tabled)]
+        self._modulus = math.prod(tail)
         self.seek(state)
 
     def seek(self, state: FactorialState) -> None:
         """Reposition the stream at `state` and restart the rejection
-        counts, keeping the front's tables."""
-        assert len(state.residues) == self._width + len(self._tail)
+        counts, keeping the tables."""
+        assert len(state.residues) == self._width + len(self._tail_primes)
         self.n = state.n
         self.rejections: Counter[int] = Counter()
         self._residues = list(state.residues[: self._width]) + [0] * (_FRONT_WIDTH - self._width)
@@ -183,9 +188,10 @@ class ResidueFilter:
         t0, t1, t2, t3 = self._tables
         r0, r1, r2, r3 = self._residues
         c0 = c1 = c2 = c3 = 0
-        tail, modulus = self._tail, self._modulus
+        tail_tables, tail_pows, modulus = self._tail_tables, self._tail_pows, self._modulus
+        counts = [0] * len(self._tail_primes)
         packed, packed_n = self._packed, self._packed_n
-        rejections, prod = self.rejections, math.prod
+        prod = math.prod
         # 0! == 1! == 1: n = 1 changes no residue and is never tested
         for n in range(max(self.n + 1, 2), hi + 1):
             r0 = r0 * n % p0
@@ -207,15 +213,22 @@ class ResidueFilter:
                 else:
                     packed = packed * prod(range(packed_n + 1, n + 1)) % modulus
                 packed_n = n
-                for p, half in tail:
-                    if pow(packed % p + 1, half, p) == p - 1:
-                        rejections[p] += 1
+                for i, p, table in tail_tables:
+                    r = packed % p
+                    if table[r >> 3] >> (r & 7) & 1:
+                        counts[i] += 1
                         break
                 else:
-                    on_survivor(n)
-        for p, c in zip(self._moduli[: self._width], (c0, c1, c2, c3)):
+                    for i, p, half in tail_pows:
+                        if pow(packed % p + 1, half, p) == p - 1:
+                            counts[i] += 1
+                            break
+                    else:
+                        on_survivor(n)
+        # a padded slot never rejects, so its count stays 0
+        for p, c in zip(self._moduli + list(self._tail_primes), [c0, c1, c2, c3] + counts):
             if c:
-                rejections[p] += c
+                self.rejections[p] += c
         self.n = max(self.n, hi)
         self._residues = [r0, r1, r2, r3]
         self._packed, self._packed_n = packed, packed_n
@@ -225,7 +238,7 @@ class ResidueFilter:
         self._packed = self._packed * math.prod(range(self._packed_n + 1, self.n + 1)) \
             % self._modulus
         self._packed_n = self.n
-        residues = self._residues[: self._width] + [self._packed % p for p, _ in self._tail]
+        residues = self._residues[: self._width] + [self._packed % p for p in self._tail_primes]
         return FactorialState(n=self.n, residues=residues)
 
 

@@ -9,15 +9,14 @@ exact-verification ceiling, is reported UNRESOLVED rather than silently
 dropped. Progress is checkpointed to a small text file so a scan can be
 killed and resumed without rework.
 
-A long range is cut into shards, one per available core. The first runs
-in the calling process; each later one runs in a child forked before the
-kernel's nonresidue tables are built. The processes build the tables
-between them and exchange them through the calling process, which checks
-each one it receives. Each child then seeds the stream at its start from
-n alone (`seed_state`), filters, and sends its survivors and the residues
-at each checkpoint boundary back over a pipe. The calling process
-settles every survivor, delivers every event and writes every
-checkpoint, in ascending n, exactly as a one-process run would.
+A long range is cut into shards, one per available core. The calling
+process builds the kernel's nonresidue tables, then runs the first shard
+itself and forks a child for each later one, which inherits the tables.
+Each child seeds the stream at its start from n alone (`seed_state`),
+filters, and sends its survivors and the residues at each checkpoint
+boundary back over a pipe. The calling process settles every survivor,
+delivers every event and writes every checkpoint, in ascending n,
+exactly as a one-process run would.
 
 Determinism is a hard requirement: for a fixed pool, the reported
 stream, all counters and every checkpoint are identical whether the scan
@@ -45,19 +44,19 @@ from .factorial_engine import (
     initial_state,
     seed_state,
 )
-from .qr_filter import ResidueFilter, nonresidue_bits, table_matches, table_ranks
+from .qr_filter import ResidueFilter, nonresidue_bits, table_ranks
 
 DEFAULT_POOL_SIZE = 48
 DEFAULT_CHECKPOINT_INTERVAL = 100_000
 
 # A range is sharded only where each shard gets at least this many n: a
-# shard pays a fork, a table exchange and a seed.
+# shard pays a fork and a seed.
 _MIN_SHARD_SPAN = 1 << 17
 # Seeding the stream at n from n alone costs about this share of scanning
-# as many n: about 205 ns per n seeded against 1000-1200 ns per n scanned
-# with the 48-prime pool and a 4-table front near n = 10**6 (2-core
-# x86-64 VM, CPython 3.11).
-_SEED_COST = 0.18
+# as many n: 200-230 ns per n seeded against 930-1160 ns per n scanned
+# with the 48-prime pool and its 8 tables near n = 5 * 10**5 (medians of
+# five, three runs, 2-core x86-64 VM, CPython 3.11).
+_SEED_COST = 0.21
 
 _CHECKPOINT_MAGIC = b"BROCARD-CHECKPOINT v1"
 _CRC_RE = re.compile(rb"crc32=([0-9a-f]{8})\n")
@@ -296,23 +295,12 @@ def run(config: SearchConfig, on_event: EventCallback | None = None) -> SearchSu
             save_checkpoint(FactorialState(n=hi, residues=residues), pool,
                             config.checkpoint_path)
 
-    front = pool.primes[:table_ranks(pool.primes, stop - start)]
+    tables = [nonresidue_bits(p) for p in pool.primes[:table_ranks(pool.primes, stop - start)]]
     bounds = _shard_bounds(start, stop, _shard_count(stop - start))
-    count = len(bounds) - 1
     children: list[_Child] = []
     try:
-        # Forked before any table is built: shard k builds the tables of
-        # front ranks k, k + count, ..., and the parent gathers them all
-        # and hands the full set to every child.
-        for k, (lo, hi) in enumerate(zip(bounds[1:], bounds[2:]), 1):
-            children.append(_fork_shard(pool, front, k, count, lo, hi, interval))
-        tables: list[bytes] = [b""] * len(front)
-        tables[0::count] = [nonresidue_bits(p) for p in front[0::count]]
-        for child in children:
-            tables[child.k::count] = child.receive_tables(front[child.k::count])
-        shared = marshal.dumps(tables)
-        for child in children:
-            child.send(shared)
+        for lo, hi in zip(bounds[1:], bounds[2:]):
+            children.append(_fork_shard(pool, tables, lo, hi, interval))
         kernel = ResidueFilter(pool, state, tables)
         for hi in _segment_ends(start, bounds[1], interval):
             found: list[int] = []
@@ -361,14 +349,13 @@ def _shard_count(span: int) -> int:
 def _shard_bounds(start: int, stop: int, count: int) -> list[int]:
     """[start, c_1, ..., stop]: shard k scans c_k + 1 .. c_{k+1}.
 
-    The cuts may fall anywhere; they balance wall time. Every process
-    waits at the table exchange for the last table, so the builds end
-    together and drop out of the balance. After it, shard 0 scans on from
-    `start`, and shard k first seeds its start at _SEED_COST per n, so
-    with keep = 1 - _SEED_COST the targets are c_1 = start + t and
-    c_{k+1} = keep * c_k + t, where t makes the last one stop. A cut that
-    would not fall strictly between its neighbours is dropped, with its
-    shard.
+    The cuts may fall anywhere; they balance wall time. The tables are
+    built before any shard starts, so they drop out of the balance. Shard
+    0 scans on from `start`, and shard k first seeds its start at
+    _SEED_COST per n, so with keep = 1 - _SEED_COST the targets are
+    c_1 = start + t and c_{k+1} = keep * c_k + t, where t makes the last
+    one stop. A cut that would not fall strictly between its neighbours
+    is dropped, with its shard.
     """
     keep = 1 - _SEED_COST
     t = (stop - start * keep ** (count - 1)) / sum(keep ** j for j in range(count))
@@ -394,52 +381,38 @@ def _send(pipe: BinaryIO, record: object) -> None:
     pipe.flush()
 
 
-def _fork_shard(pool: PrimePool, front: tuple[int, ...], k: int, count: int,
-                lo: int, hi: int, interval: int | None) -> "_Child":
-    """Fork shard k of count, to scan lo + 1 .. hi. One pipe carries its
-    records to the parent, another the full table set to it."""
+def _fork_shard(pool: PrimePool, tables: list[bytes], lo: int, hi: int,
+                interval: int | None) -> "_Child":
+    """Fork a shard child to scan lo + 1 .. hi with `tables`, which it
+    inherits. One pipe carries its records to the parent."""
     read_fd, write_fd = os.pipe()
-    try:
-        tables_read_fd, tables_write_fd = os.pipe()
-    except BaseException:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
     try:
         pid = os.fork()
         if pid == 0:
-            _scan_shard(pool, front, k, count, lo, hi, interval,
-                        (read_fd, tables_write_fd), tables_read_fd, write_fd)
+            _scan_shard(pool, tables, lo, hi, interval, read_fd, write_fd)
     except BaseException:
         os.close(read_fd)
-        os.close(tables_write_fd)
         raise
     finally:
         os.close(write_fd)
-        os.close(tables_read_fd)
-    return _Child(pid, open(read_fd, "rb"), tables_write_fd, k, lo, hi)
+    return _Child(pid, open(read_fd, "rb"), lo, hi)
 
 
-def _scan_shard(pool: PrimePool, front: tuple[int, ...], k: int, count: int,
-                lo: int, hi: int, interval: int | None, parent_fds: tuple[int, int],
-                tables_fd: int, write_fd: int) -> NoReturn:
-    """Body of a shard child: build its share of the tables, take the full
-    set, then scan lo + 1 .. hi from a seeded stream.
+def _scan_shard(pool: PrimePool, tables: list[bytes], lo: int, hi: int,
+                interval: int | None, parent_fd: int, write_fd: int) -> NoReturn:
+    """Body of a shard child: scan lo + 1 .. hi from a seeded stream.
 
-    Sends its tables, then one marshal record per piece (survivors,
-    residues at its end), then the rejection counts, or a one-line error
-    message, into write_fd. Ends with os._exit, so it never returns or
-    raises into the caller's stack and never flushes stdio buffers
-    inherited from the parent.
+    Sends one marshal record per piece (survivors, residues at its end),
+    then the rejection counts, or a one-line error message, into
+    write_fd. Ends with os._exit, so it never returns or raises into the
+    caller's stack and never flushes stdio buffers inherited from the
+    parent.
     """
     code = 1
     try:
-        for fd in parent_fds:
-            os.close(fd)
-        with open(write_fd, "wb") as pipe, open(tables_fd, "rb") as tables_pipe:
+        os.close(parent_fd)
+        with open(write_fd, "wb") as pipe:
             try:
-                _send(pipe, [nonresidue_bits(p) for p in front[k::count]])
-                tables = marshal.load(tables_pipe)
                 kernel = ResidueFilter(pool, seed_state(pool, lo), tables)
                 for end in _segment_ends(lo, hi, interval):
                     found: list[int] = []
@@ -454,54 +427,28 @@ def _scan_shard(pool: PrimePool, front: tuple[int, ...], k: int, count: int,
 
 
 class _Child:
-    """A shard child as its parent sees it: pid, the read end of the pipe
-    its records come on and the write end of the one its tables go on
-    (closed once they are sent)."""
+    """A shard child as its parent sees it: pid and the read end of the
+    pipe its records come on."""
 
-    def __init__(self, pid: int, pipe: BinaryIO, tables_fd: int, k: int,
-                 lo: int, hi: int) -> None:
+    def __init__(self, pid: int, pipe: BinaryIO, lo: int, hi: int) -> None:
         self.pid: int | None = pid
         self.pipe = pipe
-        self.tables_fd: int | None = tables_fd
-        self.k, self.lo, self.hi = k, lo, hi
+        self.lo, self.hi = lo, hi
 
     def _fail(self, reason: str) -> NoReturn:
         raise ShardError(f"scan shard n={self.lo + 1}..{self.hi}: {reason}")
 
-    def _exit_reason(self, when: str) -> str:
-        code = os.waitstatus_to_exitcode(self.reap())
-        return (f"killed by signal {-code}" if code < 0 else
-                f"exited with status {code}") + f" before {when}"
-
-    def receive(self, what: str = "result") -> "tuple[list[int], list[int]] | dict[int, int]":
+    def receive(self) -> "tuple[list[int], list[int]] | dict[int, int]":
         """The child's next record; ShardError if it failed or died first."""
         try:
             record = marshal.load(self.pipe)
         except (EOFError, ValueError, TypeError):
-            self._fail(self._exit_reason(f"sending its {what}"))
+            code = os.waitstatus_to_exitcode(self.reap())
+            self._fail((f"killed by signal {-code}" if code < 0 else
+                        f"exited with status {code}") + " before sending its result")
         if isinstance(record, str):
             self._fail(record)
         return record
-
-    def receive_tables(self, primes: tuple[int, ...]) -> list[bytes]:
-        """The child's tables for `primes`, each checked by `table_matches`."""
-        tables = self.receive("tables")
-        if not isinstance(tables, list) or len(tables) != len(primes):
-            self._fail(f"sent {type(tables).__name__} in place of {len(primes)} tables")
-        for p, table in zip(primes, tables):
-            if not table_matches(p, table):
-                self._fail(f"sent a table for p={p} that fails its check")
-        return tables
-
-    def send(self, tables: bytes) -> None:
-        """Write the marshalled full table set to the child and close that
-        pipe; closing it also closes the descriptor when the write fails."""
-        fd, self.tables_fd = self.tables_fd, None
-        try:
-            with open(fd, "wb") as pipe:
-                pipe.write(tables)
-        except BrokenPipeError:
-            self._fail(self._exit_reason("receiving its tables"))
 
     def reap(self) -> int:
         _, status = os.waitpid(self.pid, 0)
@@ -516,5 +463,3 @@ class _Child:
             os.kill(self.pid, signal.SIGKILL)
             self.reap()
         self.pipe.close()
-        if self.tables_fd is not None:
-            os.close(self.tables_fd)

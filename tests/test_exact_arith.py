@@ -196,6 +196,12 @@ def test_legendre_exhaustive_small_primes():
             assert legendre(a, p) == expect
 
 
+def test_legendre_refuses_a_composite_modulus():
+    # 2**7 == 8 (mod 15): neither 1 nor -1, so 15 is not an odd prime
+    with pytest.raises(ValueError, match="not an odd prime"):
+        legendre(2, 15)
+
+
 @given(st.sampled_from([101, 103, 997, 10007]), st.data())
 def test_legendre_multiplicative(p, data):
     a = data.draw(st.integers(min_value=1, max_value=p - 1))

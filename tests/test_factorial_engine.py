@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -59,10 +63,31 @@ def test_pool_invariants_spot_checks():
 
 
 def test_prime_pool_validates_on_construction():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="odd, increasing, above max_n"):
         PrimePool(max_n=10, primes=(7, 11))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="odd, increasing, above max_n"):
         PrimePool(max_n=10, primes=(13, 11))
+    with pytest.raises(ValueError, match="non-empty"):
+        PrimePool(max_n=10, primes=())
+
+
+def test_validation_holds_under_python_O():
+    # python -O strips asserts; a pool whose prime 7 divides n! for n >= 7,
+    # and a Legendre symbol modulo 15, must still be refused
+    code = (
+        "from brocard.factorial_engine import PrimePool\n"
+        "from brocard.exact_arith import legendre\n"
+        "for check in (lambda: PrimePool(max_n=10, primes=(7, 11)), lambda: legendre(2, 15)):\n"
+        "    try:\n"
+        "        check()\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.splitlines() == ["pool must be odd, increasing, above max_n",
+                                "modulus is not an odd prime"]
 
 
 # ---------------------------------------------------------------------------

@@ -4,21 +4,22 @@ import math
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from brocard.exact_arith import legendre
+from brocard import qr_filter
+from brocard.exact_arith import is_prime_64, legendre
 from brocard.factorial_engine import (
     FactorialState,
     advance,
     build_prime_pool,
     initial_state,
+    primes_above,
 )
 from brocard.qr_filter import (
     ResidueFilter,
     nonresidue_bits,
     passes,
-    table_matches,
     table_pays,
     table_ranks,
 )
@@ -168,45 +169,73 @@ def test_nonresidue_bits_match_euler(p):
         assert bits[r >> 3] >> (r & 7) & 1 == (legendre((r + 1) % p, p) == -1)
 
 
+def _squares_reference(p):
+    """nonresidue_bits(p) from the set of nonzero squares mod p."""
+    squares = {x * x % p for x in range(1, p // 2 + 1)}
+    bits = bytearray((p + 7) >> 3)
+    for r in range(p - 1):
+        if r + 1 not in squares:
+            bits[r >> 3] |= 1 << (r & 7)
+    return bytes(bits)
+
+
+def test_nonresidue_bits_match_squares_below_5000():
+    # every odd prime p < 5000: both signs of -1, and every block shape
+    # of the division recurrence at small p
+    primes = [p for p in range(3, 5000, 2) if is_prime_64(p)]
+    assert len(primes) == 668
+    for p in primes:
+        assert nonresidue_bits(p) == _squares_reference(p), p
+
+
+@pytest.mark.parametrize("p", [1_000_003, 1_000_033])
+def test_nonresidue_bits_match_squares_at_pool_primes(p):
+    # the first two pool primes of a 10**6 scan: -1 is a nonresidue mod
+    # 1000003 (3 mod 4) and a residue mod 1000033 (1 mod 4); their widest
+    # blocks are copied in several slices
+    assert p in build_prime_pool(1_000_000, 2).primes
+    assert (p % 4 == 3) == (p == 1_000_003)
+    assert (p - 1) // 2 > 2 * qr_filter._SLICE_BYTES
+    assert nonresidue_bits(p) == _squares_reference(p)
+
+
+@settings(max_examples=12, deadline=None)
+@given(bits=st.integers(2, 24), offset=st.integers(0, 2**23),
+       picks=st.lists(st.integers(0, 2**24), max_size=64))
+@example(bits=24, offset=2**23 - 1, picks=[])
+def test_nonresidue_bits_agree_with_legendre_below_2_24(bits, offset, picks):
+    # a prime of each bit length up to the table cap, checked at its edge
+    # residues and at random ones
+    start = min(2 ** (bits - 1) + offset % 2 ** (bits - 1), 2**24 - 40)
+    p = next(primes_above(start))
+    assert p < 2**24
+    table = nonresidue_bits(p)
+    assert len(table) == (p + 7) >> 3
+    for r in [0, 1, p - 2, p - 1, *(x % p for x in picks)]:
+        assert table[r >> 3] >> (r & 7) & 1 == (legendre((r + 1) % p, p) == -1), (p, r)
+
+
 def test_table_side_follows_segment_length():
     # the benchmark's three search shapes: a 10^6 scan and a 3 * 10^4
-    # settle build tables for every front prime; resuming the last 10^4 n
-    # of a 10^6 scan does not
+    # settle build tables for every leading prime; resuming the last 10^4 n
+    # of a 10^6 scan builds one, for rank 0
     scan = build_prime_pool(1_000_000, 3).primes
     settle = build_prime_pool(30_600, 3).primes
     assert all(table_pays(p, i, 1_000_000) for i, p in enumerate(scan))
     assert all(table_pays(p, i, 30_600) for i, p in enumerate(settle))
-    assert not any(table_pays(p, i, 10_000) for i, p in enumerate(scan))
+    assert [table_pays(p, i, 10_000) for i, p in enumerate(scan)] == [True, False, False]
     # whatever the span, no table past the size cap
     assert not table_pays(2**31 - 1, 0, 2**32)
-    # the front is the ranks that pay, up to its width: 4 for the scan and
-    # settle shapes, none for the resume one, all of a smaller pool
-    assert table_ranks(build_prime_pool(1_000_000, 48).primes, 1_000_000) == 4
-    assert table_ranks(build_prime_pool(30_600, 8).primes, 30_600) == 4
-    assert table_ranks(build_prime_pool(1_000_000, 48).primes, 10_000) == 0
+    # the tabled ranks are those that pay: 8 for the scan, the whole pool
+    # for the settle shape, 1 for the resume one, all of a smaller pool
+    assert table_ranks(build_prime_pool(1_000_000, 48).primes, 1_000_000) == 8
+    assert table_ranks(build_prime_pool(30_600, 8).primes, 30_600) == 8
+    assert table_ranks(build_prime_pool(1_000_000, 48).primes, 10_000) == 1
     assert table_ranks(build_prime_pool(1_000_000, 2).primes, 1_000_000) == 2
-    # rank 4 would pay at 10**6 too, but the loop has 4 slots
-    assert table_pays(build_prime_pool(1_000_000, 5).primes[4], 4, 1_000_000)
-
-
-@pytest.mark.parametrize("p", [3, 11, 1009, 30011])
-def test_table_matches_refuses_torn_and_foreign_tables(p):
-    table = nonresidue_bits(p)
-    assert table_matches(p, table)
-    assert not table_matches(p, table[:-1])
-    assert not table_matches(p, table + b"\x00")
-    assert not table_matches(p, bytearray(table))
-    assert not table_matches(p, None)
-    # the zero-symbol bit (r = p - 1) is checked
-    r = p - 1
-    flipped = bytearray(table)
-    flipped[r >> 3] |= 1 << (r & 7)
-    assert not table_matches(p, bytes(flipped))
-    # a table of the same length built for another prime
-    if p > 11:
-        other = next(q for q in range(p + 2, 2 * p, 2)
-                     if all(q % d for d in range(3, int(q ** 0.5) + 1, 2)))
-        assert not table_matches(p, (nonresidue_bits(other) + bytes(8))[:len(table)])
+    # past the loop's 4 slots a table still pays at 10**6, up to rank 7
+    ranks = build_prime_pool(1_000_000, 9).primes
+    assert table_pays(ranks[4], 4, 1_000_000)
+    assert table_pays(ranks[7], 7, 1_000_000) and not table_pays(ranks[8], 8, 1_000_000)
 
 
 @settings(max_examples=80, deadline=None)
