@@ -18,7 +18,7 @@ import math
 from typing import NamedTuple
 
 from .exact_arith import isqrt, legendre
-from .factorial_engine import EXACT_FACTORIAL_CEILING, factorial_exact, primes_above
+from .factorial_engine import factorial_exact, primes_above
 
 # Primes above n that the scan tries for a certificate before it falls
 # back to exact arithmetic. Each rejects a non-solution with probability
@@ -108,15 +108,14 @@ def is_certificate(n: int, q: int) -> bool:
     raise AssertionError("primes_above is endless")
 
 
-def verify(n: int, *, ceiling: int = EXACT_FACTORIAL_CEILING,
-           certify: int = 0) -> VerifyReport:
+def verify(n: int, *, certify: int = 0) -> VerifyReport:
     """Verdict for a single n, exact unless certify asks for a certificate.
 
     With certify > 0 the certify smallest odd primes above n are tried
     first; the first that rejects settles n as a non-solution and nothing
     exact is computed. Without one (solutions, and about 2**-certify of
     non-solutions) the exact path runs, which raises CeilingError above
-    the ceiling.
+    the exact factorial ceiling.
     """
     if certify:
         q = legendre_certificate(n, certify)
@@ -124,7 +123,7 @@ def verify(n: int, *, ceiling: int = EXACT_FACTORIAL_CEILING,
             return VerifyReport(n=n, k=None, m_candidate=None, k_even=None,
                                 product_matches=False, defect=None,
                                 is_solution=False, m=None, rejecting_prime=q)
-    f = factorial_exact(n, ceiling=ceiling)
+    f = factorial_exact(n)
     k = isqrt(f)
     d = f - k * k
     product = k * (k + 2)
@@ -146,16 +145,16 @@ def verify(n: int, *, ceiling: int = EXACT_FACTORIAL_CEILING,
     )
 
 
-def factor_structure(n: int, *, ceiling: int = EXACT_FACTORIAL_CEILING) -> FactorStructure:
+def factor_structure(n: int) -> FactorStructure:
     """Decompose n! = (m-1)(m+1) at a solution into 2a and 2**(e-1) b.
 
     Of k and k + 2 exactly one is 2 mod 4; that factor is 2a with a odd,
     and the other absorbs the remaining e - 1 factors of two.
     """
-    report = verify(n, ceiling=ceiling)
+    report = verify(n)
     if not report.is_solution:
         raise NotASolutionError(f"n={n} is not a solution, factor structure undefined")
-    f = factorial_exact(n, ceiling=ceiling)
+    f = factorial_exact(n)
     k = report.k
     e = (f & -f).bit_length() - 1
     lo, hi = k, k + 2

@@ -9,13 +9,18 @@ measures how close.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
-from .exact_arith import ScaledDecimal, isqrt, sqrt_digits
+from .conditions import legendre_certificate
+from .exact_arith import BitBudgetError, ScaledDecimal, check_sqrt_operand, isqrt, sqrt_digits
 from .factorial_engine import EXACT_FACTORIAL_CEILING, factorial_exact
 
 DEFAULT_NINE_RUN_CAP = 1 << 21
 _NINE_RUN_START = 64
+# lgamma(n + 1) / ln 2 is log2(n!) to far better than a bit up to the
+# exact ceiling; less this margin it is below n!'s bit length.
+_LOG2_FACTORIAL_MARGIN = 16
 
 
 class EpsilonProfile(NamedTuple):
@@ -26,9 +31,25 @@ class EpsilonProfile(NamedTuple):
     nine_run_is_lower_bound: bool
 
 
-def epsilon_digits(n: int, d: int, *, ceiling: int = EXACT_FACTORIAL_CEILING) -> ScaledDecimal:
+def _factorial(n: int, d: int) -> int:
+    """n!, for sqrt_digits(n!, d) to follow.
+
+    An n that sqrt_digits is sure to refuse is refused first, before n!
+    is built (math.factorial alone takes seconds from n ~ 10**6): the
+    budget is checked on a lower bound of n!'s bit length, so an n at
+    the edge still reaches the exact check in sqrt_digits. An n that
+    factorial_exact refuses is left to it.
+    """
+    if 0 <= n <= EXACT_FACTORIAL_CEILING:
+        check_sqrt_operand(int(math.lgamma(n + 1) / math.log(2)) - _LOG2_FACTORIAL_MARGIN, d)
+    return factorial_exact(n)
+
+
+def epsilon_digits(n: int, d: int) -> ScaledDecimal:
     """First d fractional digits of sqrt(n!), truncated."""
-    f = factorial_exact(n, ceiling=ceiling)
+    if d < 0:
+        raise ValueError("d must be non-negative")
+    f = _factorial(n, d)
     s = sqrt_digits(f, d)
     return ScaledDecimal(s.mantissa % 10**d, d)
 
@@ -47,7 +68,7 @@ def epsilon_of_k(k: int, d: int) -> ScaledDecimal:
     return ScaledDecimal(m, d)
 
 
-def k_ratio_digits(n: int, d: int, *, ceiling: int = EXACT_FACTORIAL_CEILING) -> ScaledDecimal:
+def k_ratio_digits(n: int, d: int) -> ScaledDecimal:
     """eps**2 / (2 (1 - eps)) truncated to d digits, computed exactly.
 
     Rationalizing over Z[sqrt(n!)] gives (A + B sqrt(n!)) / (2 D) with
@@ -64,7 +85,15 @@ def k_ratio_digits(n: int, d: int, *, ceiling: int = EXACT_FACTORIAL_CEILING) ->
     """
     if d < 0:
         raise ValueError("d must be non-negative")
-    f = factorial_exact(n, ceiling=ceiling)
+    g = d + 10
+    try:
+        f = _factorial(n, g)
+    except BitBudgetError:
+        # a solution takes no root, so only a certified non-solution is
+        # refused before n! is built
+        if legendre_certificate(n) is not None:
+            raise
+        f = factorial_exact(n)
     k = isqrt(f)
     if k * k == f:
         raise ValueError(f"epsilon is zero at n={n}, ratio undefined")
@@ -74,7 +103,6 @@ def k_ratio_digits(n: int, d: int, *, ceiling: int = EXACT_FACTORIAL_CEILING) ->
     den = 2 * big_d
     if big_b == 0:
         return ScaledDecimal(big_a * 10**d // den, d)
-    g = d + 10
     while True:
         s = sqrt_digits(f, g).mantissa
         # big_b < 0 flips the bracket ends
@@ -86,8 +114,7 @@ def k_ratio_digits(n: int, d: int, *, ceiling: int = EXACT_FACTORIAL_CEILING) ->
         g += 8
 
 
-def nine_run(n: int, cap: int = DEFAULT_NINE_RUN_CAP,
-             *, ceiling: int = EXACT_FACTORIAL_CEILING) -> EpsilonProfile:
+def nine_run(n: int, cap: int = DEFAULT_NINE_RUN_CAP) -> EpsilonProfile:
     """Length of the run of 9s opening the decimal expansion of eps.
 
     Doubles the working precision until a non-9 digit appears inside the
@@ -97,8 +124,8 @@ def nine_run(n: int, cap: int = DEFAULT_NINE_RUN_CAP,
     """
     if cap < 1:
         raise ValueError("cap must be positive")
-    f = factorial_exact(n, ceiling=ceiling)
     d = min(_NINE_RUN_START, cap)
+    f = _factorial(n, d)
     while True:
         s = sqrt_digits(f, d)
         # scaled-isqrt invariant, re-checked at every precision step

@@ -8,11 +8,9 @@ digit once printed never changes when more precision is requested.
 from __future__ import annotations
 
 import math
-import os
 
-# Bit budget for scaled operands, overridable via environment.
-DEFAULT_BIT_BUDGET = 1 << 26
-BIT_BUDGET_ENV = "BROCARD_BIT_BUDGET"
+# Largest operand, in bits, that sqrt_digits will build.
+BIT_BUDGET = 1 << 26
 
 # log2(10), rounded up a little; only used to estimate operand sizes.
 _LOG2_10 = 3.3219280948873626
@@ -30,7 +28,7 @@ _TRIAL_DIVISORS = _MR_WITNESSES + (41, 43, 47, 53, 59, 61)
 
 
 class BitBudgetError(Exception):
-    """Scaled operand would exceed the configured bit budget."""
+    """Scaled operand would exceed the bit budget."""
 
 
 def _dec_padded(v: int, width: int) -> str:
@@ -142,34 +140,28 @@ class ScaledDecimal:
         return f"{decimal_str(self.integer_part)}.{self.fraction_digits()}"
 
 
-def current_bit_budget() -> int:
-    raw = os.environ.get(BIT_BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_BIT_BUDGET
-    budget = int(raw)
-    if budget < 1:
-        raise ValueError(f"{BIT_BUDGET_ENV} must be positive")
-    return budget
+def check_sqrt_operand(bits: int, d: int) -> None:
+    """Raise BitBudgetError if sqrt_digits of a bits-bit x to d digits
+    would build an operand past BIT_BUDGET."""
+    est_bits = bits + int(2 * d * _LOG2_10) + 2
+    if est_bits > BIT_BUDGET:
+        raise BitBudgetError(
+            f"sqrt_digits operand needs about {est_bits} bits, budget is {BIT_BUDGET}"
+        )
 
 
-def sqrt_digits(x: int, d: int, bit_budget: int | None = None) -> ScaledDecimal:
+def sqrt_digits(x: int, d: int) -> ScaledDecimal:
     """First d fractional digits of sqrt(x), truncated.
 
     Computes isqrt(x * 10**(2d)), which is exactly floor(sqrt(x) * 10**d).
     Raises BitBudgetError before materializing an operand whose size would
-    exceed the budget (default 2**26 bits, env BROCARD_BIT_BUDGET).
+    exceed BIT_BUDGET (2**26 bits).
     """
     if x < 0:
         raise ValueError("x must be non-negative")
     if d < 0:
         raise ValueError("d must be non-negative")
-    if bit_budget is None:
-        bit_budget = current_bit_budget()
-    est_bits = x.bit_length() + int(2 * d * _LOG2_10) + 2
-    if est_bits > bit_budget:
-        raise BitBudgetError(
-            f"sqrt_digits operand needs about {est_bits} bits, budget is {bit_budget}"
-        )
+    check_sqrt_operand(x.bit_length(), d)
     mantissa = math.isqrt(x * 10 ** (2 * d))
     return ScaledDecimal(mantissa, d)
 

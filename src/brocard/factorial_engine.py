@@ -21,7 +21,7 @@ from .exact_arith import is_prime_64
 # factors, 0.11 s with 32 or 64, 0.18 s with 256.
 _SEED_BLOCK = 32
 
-# Largest factorial the engine will materialize without an explicit override.
+# Largest n whose factorial the engine will materialize.
 EXACT_FACTORIAL_CEILING = 10**7
 
 # Scan ceiling; pool primes must exceed max_n yet stay comfortably 64-bit.
@@ -29,7 +29,7 @@ MAX_SUPPORTED_N = (1 << 32) - 1
 
 
 class CeilingError(ValueError):
-    """A requested value lies beyond a configured or structural limit."""
+    """A requested value lies beyond a structural limit."""
 
 
 class PrimePool:
@@ -112,12 +112,12 @@ def seed_state(pool: PrimePool, n: int) -> FactorialState:
     return FactorialState(n=n, residues=[packed % p for p in pool.primes])
 
 
-def factorial_exact(n: int, *, ceiling: int = EXACT_FACTORIAL_CEILING) -> int:
-    """n! as an exact integer. Refuses n above the ceiling."""
+def factorial_exact(n: int) -> int:
+    """n! as an exact integer. Refuses n above EXACT_FACTORIAL_CEILING."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    if n > ceiling:
-        raise CeilingError(f"n={n} exceeds exact factorial ceiling {ceiling}")
+    if n > EXACT_FACTORIAL_CEILING:
+        raise CeilingError(f"n={n} exceeds exact factorial ceiling {EXACT_FACTORIAL_CEILING}")
     return math.factorial(n)
 
 

@@ -155,7 +155,7 @@ class ResidueFilter:
 
     def __init__(self, pool: PrimePool, state: FactorialState, tables: list[bytes]) -> None:
         primes = pool.primes
-        assert len(tables) <= len(primes)
+        assert len(tables) <= len(primes) == len(state.residues)
         self._width = width = min(len(tables), _FRONT_WIDTH)
         # A front narrower than the loop is padded with modulus-1 slots
         # that never reject, so the scan loop has one shape.
@@ -169,16 +169,10 @@ class ResidueFilter:
                              in enumerate(zip(tail, tables[width:]))]
         self._tail_pows = [(i, p, (p - 1) >> 1) for i, p in enumerate(tail[tabled:], tabled)]
         self._modulus = math.prod(tail)
-        self.seek(state)
-
-    def seek(self, state: FactorialState) -> None:
-        """Reposition the stream at `state` and restart the rejection
-        counts, keeping the tables."""
-        assert len(state.residues) == self._width + len(self._tail_primes)
         self.n = state.n
         self.rejections: Counter[int] = Counter()
-        self._residues = list(state.residues[: self._width]) + [0] * (_FRONT_WIDTH - self._width)
-        self._packed = _crt(state.residues[self._width:], self._tail_primes, self._modulus)
+        self._residues = list(state.residues[:width]) + [0] * pad
+        self._packed = _crt(state.residues[width:], tail, self._modulus)
         self._packed_n = state.n
 
     def scan_to(self, hi: int, on_survivor: Callable[[int], None]) -> None:

@@ -36,7 +36,6 @@ from typing import BinaryIO, Callable, Iterator, NamedTuple, NoReturn
 
 from . import conditions
 from .factorial_engine import (
-    EXACT_FACTORIAL_CEILING,
     CeilingError,
     FactorialState,
     PrimePool,
@@ -94,45 +93,23 @@ class SearchConfig(NamedTuple):
     pool_size: int = DEFAULT_POOL_SIZE
     checkpoint_path: str | None = None
     checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL
-    exact_verify_ceiling: int = EXACT_FACTORIAL_CEILING
     resume: bool = False
     # Halt after this n (checkpoint saved), leaving the scan resumable.
     # Used to exercise resume paths without killing the process.
     stop_n: int | None = None
 
 
-class SearchSummary:
+class SearchSummary(NamedTuple):
     """What one run segment did. Counters cover this segment only."""
 
-    _FIELDS = ("scanned_range", "resumed_from", "completed", "solutions", "survivors",
-               "unresolved", "rejections_by_prime", "wall_time_s")
-    __slots__ = _FIELDS
-
-    def __init__(self, scanned_range: tuple[int, int], resumed_from: int | None,
-                 completed: bool, solutions: list[tuple[int, int]] | None = None,
-                 survivors: int = 0, unresolved: list[int] | None = None,
-                 rejections_by_prime: dict[int, int] | None = None,
-                 wall_time_s: float = 0.0) -> None:
-        self.scanned_range = scanned_range
-        self.resumed_from = resumed_from
-        self.completed = completed
-        self.solutions = [] if solutions is None else solutions
-        self.survivors = survivors
-        self.unresolved = [] if unresolved is None else unresolved
-        self.rejections_by_prime = {} if rejections_by_prime is None else rejections_by_prime
-        self.wall_time_s = wall_time_s
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._FIELDS)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SearchSummary):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._FIELDS, self._values()))
-        return f"SearchSummary({fields})"
+    scanned_range: tuple[int, int]
+    resumed_from: int | None
+    completed: bool
+    solutions: list[tuple[int, int]]
+    survivors: int
+    unresolved: list[int]
+    rejections_by_prime: dict[int, int]
+    wall_time_s: float
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +240,7 @@ def run(config: SearchConfig, on_event: EventCallback | None = None) -> SearchSu
         nonlocal survivors
         survivors += 1
         try:
-            report = conditions.verify(n, ceiling=config.exact_verify_ceiling,
-                                       certify=conditions.CERTIFICATE_PRIMES)
+            report = conditions.verify(n, certify=conditions.CERTIFICATE_PRIMES)
         except CeilingError:
             unresolved.append(n)
             if on_event:

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from brocard import cli_reporting
+from brocard import cli_reporting, epsilon_lab, exact_arith
 from brocard.cli_reporting import (
     ReportIntegrityError,
     ReportLine,
@@ -274,14 +274,32 @@ def test_help_exits_0(capsys):
     capsys.readouterr()
 
 
+def _refuse_to_build(n):
+    raise AssertionError(f"{n}! built")
+
+
 def test_resource_errors_exit_2(tmp_path, capsys, monkeypatch):
     # unwritable report path
     assert dispatch(["search", "--max-n", "10",
                      "--report", str(tmp_path / "no" / "dir.jsonl")]) == 2
+    capsys.readouterr()
+    # an n! past the bit budget is refused before it is built
+    with monkeypatch.context() as m:
+        m.setattr(epsilon_lab, "factorial_exact", _refuse_to_build)
+        assert dispatch(["epsilon", "4000000"]) == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith("limit: ")
     # bit budget exhaustion surfaces as a limit error
-    monkeypatch.setenv("BROCARD_BIT_BUDGET", "50")
+    monkeypatch.setattr(exact_arith, "BIT_BUDGET", 50)
     assert dispatch(["epsilon", "9", "--digits", "100"]) == 2
     capsys.readouterr()
+
+
+def test_limits_ignore_the_environment(monkeypatch, capsys):
+    assert dispatch(["epsilon", "5"]) == 0
+    clean = capsys.readouterr()
+    monkeypatch.setenv("BROCARD_BIT_BUDGET", "abc")
+    assert dispatch(["epsilon", "5"]) == 0
+    assert capsys.readouterr() == clean
 
 
 def test_checkpoint_mismatch_exits_3(tmp_path, capsys):

@@ -15,6 +15,7 @@ from brocard.conditions import (
     legendre_certificate,
     verify,
 )
+from brocard import factorial_engine
 from brocard.exact_arith import is_prime_64, isqrt
 from brocard.factorial_engine import CeilingError, primes_above
 
@@ -57,9 +58,10 @@ def test_verify_non_solutions():
         assert isqrt(f + 1) ** 2 != f + 1
 
 
-def test_verify_respects_ceiling():
+def test_verify_respects_ceiling(monkeypatch):
+    monkeypatch.setattr(factorial_engine, "EXACT_FACTORIAL_CEILING", 999)
     with pytest.raises(CeilingError):
-        verify(1000, ceiling=999)
+        verify(1000)
 
 
 def test_bound_check_small_range():
@@ -190,11 +192,12 @@ def test_verify_with_certificate_skips_exact_arithmetic(monkeypatch):
         verify(9)
 
 
-def test_verify_falls_back_when_budget_has_no_rejecting_prime():
+def test_verify_falls_back_when_budget_has_no_rejecting_prime(monkeypatch):
     # an n whose first prime above it does not reject
     n = next(n for n in range(8, 200) if legendre_certificate(n, 1) is None
              and n not in KNOWN_SOLUTIONS)
     report = verify(n, certify=1)
     assert report.rejecting_prime is None and report.k == isqrt(math.factorial(n))
+    monkeypatch.setattr(factorial_engine, "EXACT_FACTORIAL_CEILING", n - 1)
     with pytest.raises(CeilingError):
-        verify(n, ceiling=n - 1, certify=1)
+        verify(n, certify=1)

@@ -12,7 +12,8 @@ from brocard.epsilon_lab import (
     k_ratio_digits,
     nine_run,
 )
-from brocard.exact_arith import BIT_BUDGET_ENV, BitBudgetError, isqrt
+from brocard import epsilon_lab, exact_arith
+from brocard.exact_arith import BitBudgetError, isqrt, sqrt_digits
 
 
 def _decimal_epsilon_mantissa(n: int, d: int) -> int:
@@ -137,9 +138,62 @@ def test_nine_run_cap_reports_lower_bound():
 
 
 def test_nine_run_respects_bit_budget(monkeypatch):
-    monkeypatch.setenv(BIT_BUDGET_ENV, "100")
+    monkeypatch.setattr(exact_arith, "BIT_BUDGET", 100)
     with pytest.raises(BitBudgetError):
         nine_run(9)
+
+
+def test_budget_refused_before_the_factorial_is_built(monkeypatch):
+    # from about n = 3.32 * 10**6, n! alone is past the budget, and it is
+    # refused before n! is built
+    def refuse(n):
+        raise AssertionError(f"{n}! built")
+
+    monkeypatch.setattr(epsilon_lab, "factorial_exact", refuse)
+    for call in (lambda: epsilon_digits(4_000_000, 9), lambda: nine_run(4_000_000),
+                 lambda: k_ratio_digits(4_000_000, 9)):
+        with pytest.raises(BitBudgetError):
+            call()
+
+
+# The precision of each function's first sqrt_digits call, given its
+# second argument (nine_run's is the cap).
+_FIRST_PRECISION = {epsilon_digits: lambda d: d, nine_run: lambda cap: min(64, cap),
+                    k_ratio_digits: lambda d: d + 10}
+
+
+@pytest.mark.parametrize("fn", list(_FIRST_PRECISION), ids=lambda fn: fn.__name__)
+def test_budget_refuses_what_sqrt_digits_refuses(monkeypatch, fn):
+    # every n is refused exactly when sqrt_digits refuses the built n! at
+    # the function's first precision; most are refused before n! is
+    # built, and only a few at the edge are built first
+    monkeypatch.setattr(exact_arith, "BIT_BUDGET", 3000)
+    built = []
+    monkeypatch.setattr(epsilon_lab, "factorial_exact",
+                        lambda n: built.append(n) or math.factorial(n))
+    for d in (1, 9, 64):
+        expected, early, late = set(), set(), set()
+        for n in range(8, 600):
+            try:
+                sqrt_digits(math.factorial(n), _FIRST_PRECISION[fn](d))
+            except BitBudgetError:
+                expected.add(n)
+            built.clear()
+            try:
+                fn(n, d)
+            except BitBudgetError:
+                (late if built else early).add(n)
+        assert early | late == expected
+        assert early and len(late) <= 3
+        assert max(late, default=0) < min(early)
+
+
+def test_budget_never_refuses_the_ratio_at_a_solution(monkeypatch):
+    # at a solution the ratio takes no root, so no budget refuses it
+    monkeypatch.setattr(exact_arith, "BIT_BUDGET", 50)
+    assert str(k_ratio_digits(7, 12)) == "70.000000000000"
+    with pytest.raises(BitBudgetError):
+        k_ratio_digits(8, 12)
 
 
 def test_nine_run_rejects_bad_cap():

@@ -1,14 +1,13 @@
 from __future__ import annotations
 
-import os
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brocard import exact_arith
 from brocard.exact_arith import (
-    BIT_BUDGET_ENV,
     _MR_SMALL_LIMIT,
     _MR_SMALL_WITNESSES,
     _MR_WITNESSES,
@@ -146,19 +145,14 @@ def test_sqrt_digits_prefix_consistency(x, d):
     assert b.mantissa // 10 == a.mantissa
 
 
-def test_sqrt_digits_bit_budget():
+def test_sqrt_digits_bit_budget(monkeypatch):
     with pytest.raises(BitBudgetError):
-        sqrt_digits(12345, 10**6, bit_budget=1000)
-    # generous budget admits the same call
-    assert sqrt_digits(12345, 100, bit_budget=10**6).frac_digits == 100
-
-
-def test_bit_budget_env_override(monkeypatch):
-    monkeypatch.setenv(BIT_BUDGET_ENV, "400")
+        sqrt_digits(12345, 10**8)
+    # the budget is read at each call
+    monkeypatch.setattr(exact_arith, "BIT_BUDGET", 1000)
     with pytest.raises(BitBudgetError):
-        sqrt_digits(2, 100)
-    monkeypatch.setenv(BIT_BUDGET_ENV, "100000")
-    assert str(sqrt_digits(4, 5)) == "2.00000"
+        sqrt_digits(12345, 10**6)
+    assert sqrt_digits(12345, 100).frac_digits == 100
 
 
 def test_decimal_str_matches_str_when_small():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brocard import factorial_engine
 from brocard.factorial_engine import (
     MAX_SUPPORTED_N,
     CeilingError,
@@ -189,10 +190,12 @@ def test_factorial_exact_against_sequential_product():
     assert factorial_exact(5000) == product
 
 
-def test_factorial_exact_ceiling():
+def test_factorial_exact_ceiling(monkeypatch):
+    # the ceiling is read at each call
+    monkeypatch.setattr(factorial_engine, "EXACT_FACTORIAL_CEILING", 100)
     with pytest.raises(CeilingError):
-        factorial_exact(101, ceiling=100)
-    assert factorial_exact(100, ceiling=100) == math.factorial(100)
+        factorial_exact(101)
+    assert factorial_exact(100) == math.factorial(100)
     with pytest.raises(ValueError):
         factorial_exact(-1)
 

@@ -273,21 +273,3 @@ def test_kernel_matches_reference(size, max_n, side, data):
         assert kernel.state().residues == _exact_state(pool, hi).residues
         assert kernel.n == hi
         lo = hi
-
-
-@pytest.mark.parametrize("size", [1, 3, 48])
-def test_seek_repositions_with_fresh_counts(size):
-    # a kernel that scanned one range and then seeks elsewhere (as a scan
-    # shard does with the tables of its parent) filters exactly like a
-    # kernel built at that position
-    pool = build_prime_pool(3000, size)
-    used = _kernel(pool, _exact_state(pool, 0), 3000)
-    used.scan_to(1200, lambda n: None)
-    used.seek(_exact_state(pool, 1800))
-    fresh = _kernel(pool, _exact_state(pool, 1800), 3000)
-    survivors = {"used": [], "fresh": []}
-    used.scan_to(3000, survivors["used"].append)
-    fresh.scan_to(3000, survivors["fresh"].append)
-    assert used.rejections == fresh.rejections
-    assert survivors["used"] == survivors["fresh"]
-    assert used.state().residues == fresh.state().residues == _exact_state(pool, 3000).residues

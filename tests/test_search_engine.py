@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brocard import factorial_engine
 from brocard.exact_arith import is_prime_64
 from brocard.factorial_engine import FactorialState, build_prime_pool
 from brocard.search_engine import (
@@ -59,18 +60,20 @@ def test_run_counts_every_n():
     assert set(summary.rejections_by_prime) <= set(pool.primes)
 
 
-def test_run_unresolved_beyond_exact_ceiling():
+def test_run_unresolved_beyond_exact_ceiling(monkeypatch):
     # survivors above the ceiling must surface, never vanish
-    summary, events = _collect(SearchConfig(max_n=10, exact_verify_ceiling=6))
+    monkeypatch.setattr(factorial_engine, "EXACT_FACTORIAL_CEILING", 6)
+    summary, events = _collect(SearchConfig(max_n=10))
     assert summary.solutions == [(4, 5), (5, 11)]
     assert summary.unresolved == [7]
     assert ("unresolved", 7, None) in events
 
 
-def test_run_settles_survivors_by_certificate_above_the_ceiling():
+def test_run_settles_survivors_by_certificate_above_the_ceiling(monkeypatch):
     # with one pool prime about half of all n survive; above the ceiling a
     # certificate settles them, and only the solution 7 stays unresolved
-    summary, events = _collect(SearchConfig(max_n=200, pool_size=1, exact_verify_ceiling=6))
+    monkeypatch.setattr(factorial_engine, "EXACT_FACTORIAL_CEILING", 6)
+    summary, events = _collect(SearchConfig(max_n=200, pool_size=1))
     assert summary.unresolved == [7]
     assert summary.solutions == [(4, 5), (5, 11)]
     assert summary.survivors > 50

@@ -55,8 +55,7 @@ def _scan(monkeypatch, config, shards):
     log, pids = _record(monkeypatch)
     summary = run(config, on_event=lambda *event: log.append(event))
     assert len(pids) == shards - 1
-    summary.wall_time_s = 0.0
-    return summary, log
+    return summary._replace(wall_time_s=0.0), log
 
 
 def _assert_reaped(pids):
@@ -231,8 +230,15 @@ def _fail_in_child(monkeypatch, at, how):
     monkeypatch.setattr(ResidueFilter, "scan_to", failing)
 
 
+# The cut of a 3000-n scan into 2 shards, and the end of the segment of
+# the 100-n checkpoint grid that it splits: the child's first piece.
+_CUT = search_engine._shard_bounds(0, 3000, 2)[1]
+_SPLIT_END = _CUT // 100 * 100 + 100
+
+
 @pytest.mark.parametrize("how", ["raise", "kill"])
-@pytest.mark.parametrize("at,last_checkpoint", [(2000, 1900), (1700, 1600)])
+@pytest.mark.parametrize("at,last_checkpoint", [(_SPLIT_END + 300, _SPLIT_END + 200),
+                                                (_SPLIT_END, _SPLIT_END - 100)])
 def test_failed_child_stops_at_last_finished_segment(tmp_path, monkeypatch, how, at,
                                                      last_checkpoint):
     ck = str(tmp_path / "scan.ck")
@@ -240,20 +246,18 @@ def test_failed_child_stops_at_last_finished_segment(tmp_path, monkeypatch, how,
     _, clean = _scan(monkeypatch, config, 1)
 
     _force_shards(monkeypatch, 2)
-    cut = search_engine._shard_bounds(0, 3000, 2)[1]
-    assert 1600 < cut < 1700
     log, pids = _record(monkeypatch)
     _fail_in_child(monkeypatch, at, how)
     with pytest.raises(ShardError) as info:
         run(config, on_event=lambda *event: log.append(event))
-    assert str(info.value) == f"scan shard n={cut + 1}..3000: " + {
+    assert str(info.value) == f"scan shard n={_CUT + 1}..3000: " + {
         "raise": "RuntimeError: injected fault",
         "kill": "killed by signal 9 before sending its result",
     }[how]
     _assert_reaped(pids)
-    # Failing at its 2000 segment, the child had finished up to 1900.
-    # Failing at 1700, it had not finished the second half of the segment
-    # 1601..1700 that the cut splits, so nothing of that segment is out,
+    # Failing at a later segment, the child had finished the one before.
+    # Failing at its first piece, it had not finished the second half of
+    # the segment that the cut splits, so nothing of that segment is out,
     # not even what shard 0 found in its first half. Either way the output
     # is everything up to the last checkpoint, once, and nothing past it.
     checkpoints = [entry for entry in clean if isinstance(entry, bytes)]
