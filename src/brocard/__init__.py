@@ -33,8 +33,6 @@ _SUBMODULE = {
         "is_prime_64",
         "isqrt",
         "legendre",
-        "root_defect",
-        "root_floor",
         "sqrt_digits",
     ), "exact_arith"),
     **dict.fromkeys((

@@ -22,12 +22,7 @@ import sys
 from typing import IO, NamedTuple
 
 from . import __version__, conditions
-from .epsilon_lab import (
-    DEFAULT_NINE_RUN_CAP,
-    epsilon_digits,
-    k_ratio_digits,
-    nine_run,
-)
+from .epsilon_lab import admit_exact, epsilon_digits, k_ratio_digits, log_factorial, nine_run
 from .exact_arith import BitBudgetError, decimal_str
 from .factorial_engine import EXACT_FACTORIAL_CEILING, CeilingError, is_factorial
 from .search_engine import (
@@ -236,8 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fractional digits to print (default %(default)s)")
     p.add_argument("--nine-run", action="store_true",
                    help="measure the leading run of 9s")
-    p.add_argument("--cap", type=_positive_int, default=DEFAULT_NINE_RUN_CAP,
-                   help="nine-run precision cap in digits (default %(default)s)")
     p.set_defaults(handler=_cmd_epsilon)
 
     p = sub.add_parser("table", help="per-n table of k, defect, epsilon, ratio")
@@ -292,11 +285,12 @@ def _cmd_search(args: argparse.Namespace) -> int:
     return 0
 
 
-def _notice_exact_work(command: str, n: int) -> None:
-    """One stderr line before exact work on n! for a large n (one past the
-    exact ceiling fails at once instead), so a long silence has a reason."""
-    if _STALL_NOTICE_N <= n <= EXACT_FACTORIAL_CEILING:
-        digits = math.floor(math.lgamma(n + 1) / math.log(10)) + 1
+def _notice_exact_work(command: str, n: int, d: int | None = None) -> None:
+    """Admit exact work on n! at d digits (epsilon_lab.admit_exact), then,
+    for a large n, say so in one stderr line, so a long silence has a reason."""
+    admit_exact(n, d)
+    if n >= _STALL_NOTICE_N:
+        digits = math.floor(log_factorial(n, 10)) + 1
         print(f"{command}: n={n}: exact arithmetic on n! ({digits} digits), "
               "this can take minutes", file=sys.stderr, flush=True)
 
@@ -330,12 +324,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_epsilon(args: argparse.Namespace) -> int:
-    _notice_exact_work("epsilon", args.n)
+    _notice_exact_work("epsilon", args.n, args.digits)
     value = epsilon_digits(args.n, args.digits)
     print(f"n: {args.n}")
     print(f"epsilon: {value}")
     if args.nine_run:
-        profile = nine_run(args.n, args.cap)
+        profile = nine_run(args.n)
         print(f"nine_run: {profile.nine_run}")
         print(f"nine_run_exact: {_bool_str(not profile.nine_run_is_lower_bound)}")
         print(f"digits_computed: {profile.digits_computed}")
@@ -346,8 +340,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if args.n_from > args.n_to:
         print("error: --from must not exceed --to", file=sys.stderr)
         return 1
-    _notice_exact_work("table", args.n_to)
     d = args.digits
+    _notice_exact_work("table", args.n_to, d)
     header = ["n", "k", "parity", "defect", "epsilon", "ratio", "solution", "note"]
     rows = [header]
     for n in range(args.n_from, args.n_to + 1):

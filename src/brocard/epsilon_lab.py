@@ -14,9 +14,10 @@ from typing import NamedTuple
 
 from .conditions import legendre_certificate
 from .exact_arith import BitBudgetError, ScaledDecimal, check_sqrt_operand, isqrt, sqrt_digits
-from .factorial_engine import EXACT_FACTORIAL_CEILING, factorial_exact
+from .factorial_engine import EXACT_FACTORIAL_CEILING, CeilingError, factorial_exact
 
-DEFAULT_NINE_RUN_CAP = 1 << 21
+# Precision, in digits, at which nine_run reports its run as a lower bound.
+NINE_RUN_CAP = 1 << 21
 _NINE_RUN_START = 64
 # lgamma(n + 1) / ln 2 is log2(n!) to far better than a bit up to the
 # exact ceiling; less this margin it is below n!'s bit length.
@@ -31,26 +32,32 @@ class EpsilonProfile(NamedTuple):
     nine_run_is_lower_bound: bool
 
 
-def _factorial(n: int, d: int) -> int:
-    """n!, for sqrt_digits(n!, d) to follow.
+def log_factorial(n: int, base: int) -> float:
+    """log n! to the given base, from math.lgamma, for n >= 0."""
+    return math.lgamma(n + 1) / math.log(base)
 
-    An n that sqrt_digits is sure to refuse is refused first, before n!
-    is built (math.factorial alone takes seconds from n ~ 10**6): the
-    budget is checked on a lower bound of n!'s bit length, so an n at
-    the edge still reaches the exact check in sqrt_digits. An n that
-    factorial_exact refuses is left to it.
+
+def admit_exact(n: int, d: int | None = None) -> None:
+    """Raise what exact work on n! would raise, before any of it is done.
+
+    CeilingError past the exact factorial ceiling. With d, BitBudgetError
+    for an n that sqrt_digits(n!, d) is sure to refuse: the budget is
+    checked on a lower bound of n!'s bit length, so an n at the edge
+    passes here and still reaches the exact check in sqrt_digits. Building
+    n! alone takes seconds from n ~ 10**6.
     """
-    if 0 <= n <= EXACT_FACTORIAL_CEILING:
-        check_sqrt_operand(int(math.lgamma(n + 1) / math.log(2)) - _LOG2_FACTORIAL_MARGIN, d)
-    return factorial_exact(n)
+    if n > EXACT_FACTORIAL_CEILING:
+        raise CeilingError(f"n={n} exceeds exact factorial ceiling {EXACT_FACTORIAL_CEILING}")
+    if d is not None and n >= 0:
+        check_sqrt_operand(int(log_factorial(n, 2)) - _LOG2_FACTORIAL_MARGIN, d)
 
 
 def epsilon_digits(n: int, d: int) -> ScaledDecimal:
     """First d fractional digits of sqrt(n!), truncated."""
     if d < 0:
         raise ValueError("d must be non-negative")
-    f = _factorial(n, d)
-    s = sqrt_digits(f, d)
+    admit_exact(n, d)
+    s = sqrt_digits(factorial_exact(n), d)
     return ScaledDecimal(s.mantissa % 10**d, d)
 
 
@@ -87,13 +94,13 @@ def k_ratio_digits(n: int, d: int) -> ScaledDecimal:
         raise ValueError("d must be non-negative")
     g = d + 10
     try:
-        f = _factorial(n, g)
+        admit_exact(n, g)
     except BitBudgetError:
         # a solution takes no root, so only a certified non-solution is
         # refused before n! is built
         if legendre_certificate(n) is not None:
             raise
-        f = factorial_exact(n)
+    f = factorial_exact(n)
     k = isqrt(f)
     if k * k == f:
         raise ValueError(f"epsilon is zero at n={n}, ratio undefined")
@@ -114,18 +121,18 @@ def k_ratio_digits(n: int, d: int) -> ScaledDecimal:
         g += 8
 
 
-def nine_run(n: int, cap: int = DEFAULT_NINE_RUN_CAP) -> EpsilonProfile:
+def nine_run(n: int) -> EpsilonProfile:
     """Length of the run of 9s opening the decimal expansion of eps.
 
     Doubles the working precision until a non-9 digit appears inside the
     truncated window. Truncation only ever exposes true digits, so a run
-    shorter than the window is exact. Hitting the cap reports the cap as
-    a lower bound.
+    shorter than the window is exact. Hitting NINE_RUN_CAP reports the
+    cap as a lower bound.
     """
-    if cap < 1:
-        raise ValueError("cap must be positive")
+    cap = NINE_RUN_CAP
     d = min(_NINE_RUN_START, cap)
-    f = _factorial(n, d)
+    admit_exact(n, d)
+    f = factorial_exact(n)
     while True:
         s = sqrt_digits(f, d)
         # scaled-isqrt invariant, re-checked at every precision step

@@ -59,43 +59,6 @@ def isqrt(x: int) -> int:
     return math.isqrt(x)
 
 
-def root_floor(x: int, r: int) -> int:
-    """Floor of the r-th root of x (x >= 0, r >= 1).
-
-    Newton iteration from a power-of-two seed at least as large as the
-    root, clamped afterwards so the bracket y**r <= x < (y+1)**r holds
-    unconditionally.
-    """
-    if x < 0:
-        raise ValueError("x must be non-negative")
-    if r < 1:
-        raise ValueError("r must be positive")
-    if r == 1 or x < 2:
-        return x
-    if r == 2:
-        return math.isqrt(x)
-    if x.bit_length() <= r:
-        return 1
-    y = 1 << -(-x.bit_length() // r)
-    while True:
-        t = ((r - 1) * y + x // y ** (r - 1)) // r
-        if t >= y:
-            break
-        y = t
-    while y**r > x:
-        y -= 1
-    while (y + 1) ** r <= x:
-        y += 1
-    return y
-
-
-def root_defect(x: int, r: int) -> int:
-    """x minus the r-th power of root_floor(x, r). Zero iff x is a perfect r-th power."""
-    d = x - root_floor(x, r) ** r
-    assert d >= 0
-    return d
-
-
 class ScaledDecimal:
     """mantissa * 10**-frac_digits, truncated, never rounded.
 

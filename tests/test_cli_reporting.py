@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from brocard import cli_reporting, epsilon_lab, exact_arith
+from brocard import cli_reporting, conditions, epsilon_lab, exact_arith
 from brocard.cli_reporting import (
     ReportIntegrityError,
     ReportLine,
@@ -236,6 +236,7 @@ def test_usage_errors_exit_1(capsys):
     assert dispatch(["epsilon", "7", "--digits", "0"]) == 1
     assert dispatch(["nonsense"]) == 1
     assert dispatch(["search", "--max-n", "10", "--threads", "2"]) == 1  # flag removed
+    assert dispatch(["epsilon", "7", "--nine-run", "--cap", "5"]) == 1  # flag removed
     err = capsys.readouterr().err
     assert "usage:" in err
 
@@ -283,15 +284,24 @@ def test_resource_errors_exit_2(tmp_path, capsys, monkeypatch):
     assert dispatch(["search", "--max-n", "10",
                      "--report", str(tmp_path / "no" / "dir.jsonl")]) == 2
     capsys.readouterr()
-    # an n! past the bit budget is refused before it is built
-    with monkeypatch.context() as m:
-        m.setattr(epsilon_lab, "factorial_exact", _refuse_to_build)
-        assert dispatch(["epsilon", "4000000"]) == 2
-        assert capsys.readouterr().err.splitlines()[-1].startswith("limit: ")
     # bit budget exhaustion surfaces as a limit error
     monkeypatch.setattr(exact_arith, "BIT_BUDGET", 50)
     assert dispatch(["epsilon", "9", "--digits", "100"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [["epsilon", "4000000"],
+                                  ["table", "--from", "4000000", "--to", "4000000"],
+                                  ["table", "--from", "1", "--to", "4000000"]])
+def test_over_budget_commands_refuse_before_notice_and_factorial(monkeypatch, capsys, argv):
+    # n! is past the bit budget here: the command exits with the limit
+    # alone, before its stall notice, a table row or n! itself
+    monkeypatch.setattr(conditions, "factorial_exact", _refuse_to_build)
+    monkeypatch.setattr(epsilon_lab, "factorial_exact", _refuse_to_build)
+    assert dispatch(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("limit: ")
 
 
 def test_limits_ignore_the_environment(monkeypatch, capsys):

@@ -125,14 +125,17 @@ def test_nine_run_profile_fields():
     assert profile.epsilon.fraction_digits().startswith("99295739")
 
 
-def test_nine_run_cap_reports_lower_bound():
-    capped = nine_run(7, cap=1)
+def test_nine_run_cap_reports_lower_bound(monkeypatch):
+    monkeypatch.setattr(epsilon_lab, "NINE_RUN_CAP", 1)
+    capped = nine_run(7)
     assert capped.nine_run == 1
     assert capped.nine_run_is_lower_bound
-    capped = nine_run(7, cap=2)
+    monkeypatch.setattr(epsilon_lab, "NINE_RUN_CAP", 2)
+    capped = nine_run(7)
     assert capped.nine_run == 2
     assert capped.nine_run_is_lower_bound
-    exact = nine_run(7, cap=3)
+    monkeypatch.setattr(epsilon_lab, "NINE_RUN_CAP", 3)
+    exact = nine_run(7)
     assert exact.nine_run == 2
     assert not exact.nine_run_is_lower_bound
 
@@ -156,8 +159,8 @@ def test_budget_refused_before_the_factorial_is_built(monkeypatch):
             call()
 
 
-# The precision of each function's first sqrt_digits call, given its
-# second argument (nine_run's is the cap).
+# The precision of each function's first sqrt_digits call, given d
+# (nine_run's is NINE_RUN_CAP, set to d).
 _FIRST_PRECISION = {epsilon_digits: lambda d: d, nine_run: lambda cap: min(64, cap),
                     k_ratio_digits: lambda d: d + 10}
 
@@ -172,6 +175,8 @@ def test_budget_refuses_what_sqrt_digits_refuses(monkeypatch, fn):
     monkeypatch.setattr(epsilon_lab, "factorial_exact",
                         lambda n: built.append(n) or math.factorial(n))
     for d in (1, 9, 64):
+        monkeypatch.setattr(epsilon_lab, "NINE_RUN_CAP", d)
+        call = nine_run if fn is nine_run else (lambda n: fn(n, d))
         expected, early, late = set(), set(), set()
         for n in range(8, 600):
             try:
@@ -180,7 +185,7 @@ def test_budget_refuses_what_sqrt_digits_refuses(monkeypatch, fn):
                 expected.add(n)
             built.clear()
             try:
-                fn(n, d)
+                call(n)
             except BitBudgetError:
                 (late if built else early).add(n)
         assert early | late == expected
@@ -194,11 +199,6 @@ def test_budget_never_refuses_the_ratio_at_a_solution(monkeypatch):
     assert str(k_ratio_digits(7, 12)) == "70.000000000000"
     with pytest.raises(BitBudgetError):
         k_ratio_digits(8, 12)
-
-
-def test_nine_run_rejects_bad_cap():
-    with pytest.raises(ValueError):
-        nine_run(7, cap=0)
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,6 @@ from brocard.exact_arith import (
     is_prime_64,
     isqrt,
     legendre,
-    root_defect,
-    root_floor,
     sqrt_digits,
 )
 
@@ -53,49 +51,6 @@ def test_isqrt_exhaustive_small():
 def test_isqrt_bracket(x):
     s = isqrt(x)
     assert s * s <= x < (s + 1) * (s + 1)
-
-
-# ---------------------------------------------------------------------------
-# root_floor / root_defect
-
-
-def test_root_floor_examples():
-    assert root_floor(10, 3) == 2
-    assert root_floor(24, 2) == 4
-    assert root_floor(3628800, 2) == 1904
-    assert root_floor(0, 5) == 0
-    assert root_floor(1, 7) == 1
-    assert root_floor(7, 1) == 7
-    assert root_floor(2**60, 6) == 2**10
-
-
-def test_root_floor_rejects_bad_args():
-    with pytest.raises(ValueError):
-        root_floor(-1, 2)
-    with pytest.raises(ValueError):
-        root_floor(5, 0)
-
-
-def test_root_defect_examples():
-    assert root_defect(6, 2) == 2
-    assert root_defect(24, 2) == 8
-    assert root_defect(10, 3) == 2
-    assert root_defect(64, 3) == 0
-
-
-@given(st.integers(min_value=0, max_value=10**40), st.integers(min_value=1, max_value=8))
-def test_root_floor_bracket(x, r):
-    y = root_floor(x, r)
-    assert y**r <= x < (y + 1) ** r
-    assert root_defect(x, r) == x - y**r
-
-
-def test_root_floor_exact_powers():
-    for base in (2, 3, 10, 99, 12345):
-        for r in (2, 3, 4, 5):
-            assert root_floor(base**r, r) == base
-            assert root_floor(base**r - 1, r) == base - 1
-            assert root_floor(base**r + 1, r) == base
 
 
 # ---------------------------------------------------------------------------

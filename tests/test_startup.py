@@ -22,7 +22,7 @@ EXPORTS = {
     "epsilon_lab": ["EpsilonProfile", "check_f_monotone", "epsilon_digits", "epsilon_of_k",
                     "k_ratio_digits", "nine_run"],
     "exact_arith": ["BitBudgetError", "ScaledDecimal", "is_prime_64", "isqrt", "legendre",
-                    "root_defect", "root_floor", "sqrt_digits"],
+                    "sqrt_digits"],
     "factorial_engine": ["CeilingError", "FactorialState", "PrimePool", "advance",
                          "build_prime_pool", "factorial_exact", "initial_state",
                          "is_factorial", "primes_above", "seed_state"],
