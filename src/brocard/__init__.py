@@ -21,6 +21,7 @@ _SUBMODULE = {
     ), "conditions"),
     **dict.fromkeys((
         "EpsilonProfile",
+        "FactorialRoot",
         "check_f_monotone",
         "epsilon_digits",
         "epsilon_of_k",
@@ -39,7 +40,6 @@ _SUBMODULE = {
         "CeilingError",
         "FactorialState",
         "PrimePool",
-        "advance",
         "build_prime_pool",
         "factorial_exact",
         "initial_state",

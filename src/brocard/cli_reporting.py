@@ -22,7 +22,8 @@ import sys
 from typing import IO, NamedTuple
 
 from . import __version__, conditions
-from .epsilon_lab import admit_exact, epsilon_digits, k_ratio_digits, log_factorial, nine_run
+from .epsilon_lab import (NINE_RUN_START, RATIO_GUARD, FactorialRoot, admit_exact,
+                          epsilon_digits, k_ratio_digits, log_factorial, nine_run)
 from .exact_arith import BitBudgetError, decimal_str
 from .factorial_engine import EXACT_FACTORIAL_CEILING, CeilingError, is_factorial
 from .search_engine import (
@@ -38,9 +39,9 @@ from .search_engine import (
 MISQUOTED_K = {8: 26, 11: 6371}
 
 # Exact work on n! (the factorial, then its isqrt) grows much faster than
-# n: `verify` takes about 1.2 s at n = 10**5, 5 s at 2 * 10**5, 11 s at
-# 3 * 10**5 and 134 s at 10**6 (2-core x86-64 VM, CPython 3.11). From
-# this n on, `verify`, `epsilon` and `table` say so on stderr first.
+# n: `verify` takes 3.1-3.4 s at n = 10**5 and 12.9-14.1 s at 2 * 10**5
+# (three runs each, 2-core x86-64 VM, CPython 3.11). From this n on,
+# `verify`, `epsilon` and `table` say so on stderr first.
 _STALL_NOTICE_N = 200_000
 
 
@@ -324,12 +325,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_epsilon(args: argparse.Namespace) -> int:
-    _notice_exact_work("epsilon", args.n, args.digits)
-    value = epsilon_digits(args.n, args.digits)
+    d = args.digits
+    _notice_exact_work("epsilon", args.n, max(d, NINE_RUN_START) if args.nine_run else d)
+    root = FactorialRoot(args.n)
+    # nine_run first: at d <= NINE_RUN_START its root serves epsilon too
+    profile = nine_run(root) if args.nine_run else None
     print(f"n: {args.n}")
-    print(f"epsilon: {value}")
-    if args.nine_run:
-        profile = nine_run(args.n)
+    print(f"epsilon: {epsilon_digits(root, d)}")
+    if profile is not None:
         print(f"nine_run: {profile.nine_run}")
         print(f"nine_run_exact: {_bool_str(not profile.nine_run_is_lower_bound)}")
         print(f"digits_computed: {profile.digits_computed}")
@@ -341,16 +344,18 @@ def _cmd_table(args: argparse.Namespace) -> int:
         print("error: --from must not exceed --to", file=sys.stderr)
         return 1
     d = args.digits
-    _notice_exact_work("table", args.n_to, d)
+    _notice_exact_work("table", args.n_to, d + RATIO_GUARD)
     header = ["n", "k", "parity", "defect", "epsilon", "ratio", "solution", "note"]
     rows = [header]
     for n in range(args.n_from, args.n_to + 1):
         rep = conditions.verify(n)
-        eps = str(epsilon_digits(n, d))
+        # the ratio takes the row's one root, at d + RATIO_GUARD digits
+        root = FactorialRoot(n, rep.k * rep.k + rep.defect)
         try:
-            ratio = str(k_ratio_digits(n, d))
+            ratio = str(k_ratio_digits(root, d))
         except ValueError:
             ratio = "-"
+        eps = str(epsilon_digits(root, d))
         note = ""
         if n in MISQUOTED_K and MISQUOTED_K[n] != rep.k:
             note = f"k corrected (misquoted as {MISQUOTED_K[n]} in circulated tables)"

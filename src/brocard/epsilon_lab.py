@@ -12,13 +12,15 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .conditions import legendre_certificate
-from .exact_arith import BitBudgetError, ScaledDecimal, check_sqrt_operand, isqrt, sqrt_digits
+from .exact_arith import ScaledDecimal, check_sqrt_operand, isqrt, sqrt_digits
 from .factorial_engine import EXACT_FACTORIAL_CEILING, CeilingError, factorial_exact
 
 # Precision, in digits, at which nine_run reports its run as a lower bound.
 NINE_RUN_CAP = 1 << 21
-_NINE_RUN_START = 64
+# Precision, in digits, of nine_run's first root.
+NINE_RUN_START = 64
+# Digits k_ratio_digits reads past the d it prints.
+RATIO_GUARD = 10
 # lgamma(n + 1) / ln 2 is log2(n!) to far better than a bit up to the
 # exact ceiling; less this margin it is below n!'s bit length.
 _LOG2_FACTORIAL_MARGIN = 16
@@ -32,6 +34,34 @@ class EpsilonProfile(NamedTuple):
     nine_run_is_lower_bound: bool
 
 
+class FactorialRoot:
+    """n! and s = floor(sqrt(n!) * 10**g), its root at the highest precision
+    g read so far. A read at d <= g digits truncates s, which is exact since
+    truncations compose; a read past g takes one new root in place."""
+
+    __slots__ = ("n", "f", "g", "s")
+
+    def __init__(self, n: int, f: int | None = None) -> None:
+        """f, when given, must be n! (a caller that already holds it)."""
+        self.n = n
+        self.f = factorial_exact(n) if f is None else f
+        self.g = -1  # no root taken yet
+        self.s = 0
+
+    def scaled(self, d: int) -> int:
+        """floor(sqrt(n!) * 10**d)."""
+        if d < 0:
+            raise ValueError("d must be non-negative")
+        if d > self.g:
+            check_sqrt_operand(self.f.bit_length(), d)
+            x = self.f * 10 ** (2 * d)
+            s = isqrt(x)
+            # scaled-isqrt invariant, re-checked at every new root
+            assert 0 <= x - s * s <= 2 * s
+            self.g, self.s = d, s
+        return self.s // 10 ** (self.g - d)
+
+
 def log_factorial(n: int, base: int) -> float:
     """log n! to the given base, from math.lgamma, for n >= 0."""
     return math.lgamma(n + 1) / math.log(base)
@@ -41,9 +71,9 @@ def admit_exact(n: int, d: int | None = None) -> None:
     """Raise what exact work on n! would raise, before any of it is done.
 
     CeilingError past the exact factorial ceiling. With d, BitBudgetError
-    for an n that sqrt_digits(n!, d) is sure to refuse: the budget is
+    for an n whose root at d digits is sure to be refused: the budget is
     checked on a lower bound of n!'s bit length, so an n at the edge
-    passes here and still reaches the exact check in sqrt_digits. Building
+    passes here and still reaches the exact check of the root. Building
     n! alone takes seconds from n ~ 10**6.
     """
     if n > EXACT_FACTORIAL_CEILING:
@@ -52,13 +82,9 @@ def admit_exact(n: int, d: int | None = None) -> None:
         check_sqrt_operand(int(log_factorial(n, 2)) - _LOG2_FACTORIAL_MARGIN, d)
 
 
-def epsilon_digits(n: int, d: int) -> ScaledDecimal:
+def epsilon_digits(root: FactorialRoot, d: int) -> ScaledDecimal:
     """First d fractional digits of sqrt(n!), truncated."""
-    if d < 0:
-        raise ValueError("d must be non-negative")
-    admit_exact(n, d)
-    s = sqrt_digits(factorial_exact(n), d)
-    return ScaledDecimal(s.mantissa % 10**d, d)
+    return ScaledDecimal(root.scaled(d) % 10**d, d)
 
 
 def epsilon_of_k(k: int, d: int) -> ScaledDecimal:
@@ -75,82 +101,57 @@ def epsilon_of_k(k: int, d: int) -> ScaledDecimal:
     return ScaledDecimal(m, d)
 
 
-def k_ratio_digits(n: int, d: int) -> ScaledDecimal:
-    """eps**2 / (2 (1 - eps)) truncated to d digits, computed exactly.
+def k_ratio_digits(root: FactorialRoot, d: int) -> ScaledDecimal:
+    """r(eps) = eps**2 / (2 (1 - eps)) truncated to d digits, computed exactly.
 
-    Rationalizing over Z[sqrt(n!)] gives (A + B sqrt(n!)) / (2 D) with
-
-        D = (k + 1)**2 - n!        (>= 1)
-        A = (n! + k**2)(k + 1) - 2 k n!
-        B = (n! + k**2) - 2 k (k + 1)  ==  defect - 2k  (<= 0)
-
-    At a solution B vanishes and the ratio is the exact rational A / 2D
-    (it equals k there). Otherwise B < 0 and the ratio is irrational:
-    bracket sqrt(n!) between consecutive scaled integers and widen the
-    guard precision until both ends of the bracket truncate to the same
-    d-digit value, which must then be the exact truncation.
+    With k = isqrt(n!) and defect n! - k**2: at a solution (defect 2k)
+    eps = sqrt(k**2 + 2k) - k and the ratio is k exactly; a defect of 0
+    leaves eps = 0 and the ratio undefined (ValueError). Otherwise the
+    ratio is irrational. r rises with eps on [0, 1), so the g-digit
+    truncation e / 10**g <= eps < (e + 1) / 10**g brackets it between
+    r(e / 10**g) and r((e + 1) / 10**g), two small rationals; g grows by
+    8 until both ends truncate to the same d digits, which must then be
+    the exact truncation. The first root is taken at d + RATIO_GUARD.
     """
     if d < 0:
         raise ValueError("d must be non-negative")
-    g = d + 10
-    try:
-        admit_exact(n, g)
-    except BitBudgetError:
-        # a solution takes no root, so only a certified non-solution is
-        # refused before n! is built
-        if legendre_certificate(n) is not None:
-            raise
-    f = factorial_exact(n)
-    k = isqrt(f)
-    if k * k == f:
-        raise ValueError(f"epsilon is zero at n={n}, ratio undefined")
-    big_d = (k + 1) ** 2 - f
-    big_a = (f + k * k) * (k + 1) - 2 * k * f
-    big_b = (f + k * k) - 2 * k * (k + 1)
-    den = 2 * big_d
-    if big_b == 0:
-        return ScaledDecimal(big_a * 10**d // den, d)
+    g = d + RATIO_GUARD
+    s = root.scaled(g)
+    k = s // 10**g
+    defect = root.f - k * k
+    if defect == 0:
+        raise ValueError(f"epsilon is zero at n={root.n}, ratio undefined")
+    if defect == 2 * k:
+        return ScaledDecimal(k * 10**d, d)
     while True:
-        s = sqrt_digits(f, g).mantissa
-        # big_b < 0 flips the bracket ends
-        lo = (big_a * 10**g + big_b * (s + 1)) * 10**d // (den * 10**g)
-        hi = (big_a * 10**g + big_b * s) * 10**d // (den * 10**g)
-        if lo == hi:
-            assert lo >= 0
+        unit = 10**g
+        e = s % unit
+        # r(e / unit) = e**2 / (2 unit (unit - e)); r(1) is unbounded
+        lo = e * e * 10**d // (2 * unit * (unit - e))
+        if e + 1 < unit and lo == (e + 1) ** 2 * 10**d // (2 * unit * (unit - e - 1)):
             return ScaledDecimal(lo, d)
         g += 8
+        s = root.scaled(g)
 
 
-def nine_run(n: int) -> EpsilonProfile:
+def nine_run(root: FactorialRoot) -> EpsilonProfile:
     """Length of the run of 9s opening the decimal expansion of eps.
 
-    Doubles the working precision until a non-9 digit appears inside the
-    truncated window. Truncation only ever exposes true digits, so a run
-    shorter than the window is exact. Hitting NINE_RUN_CAP reports the
-    cap as a lower bound.
+    Doubles the working precision from NINE_RUN_START until a non-9
+    digit appears inside the truncated window. Truncation only ever
+    exposes true digits, so a run shorter than the window is exact.
+    Hitting NINE_RUN_CAP reports the cap as a lower bound.
     """
     cap = NINE_RUN_CAP
-    d = min(_NINE_RUN_START, cap)
-    admit_exact(n, d)
-    f = factorial_exact(n)
+    d = min(NINE_RUN_START, cap)
     while True:
-        s = sqrt_digits(f, d)
-        # scaled-isqrt invariant, re-checked at every precision step
-        scaled = f * 10 ** (2 * d)
-        assert s.mantissa**2 <= scaled < (s.mantissa + 1) ** 2
-        frac = s.fraction_digits()
+        eps = epsilon_digits(root, d)
+        frac = eps.fraction_digits()
         run = len(frac) - len(frac.lstrip("9"))
-        eps = ScaledDecimal(s.mantissa % 10**d, d)
-        if run < d:
-            return EpsilonProfile(
-                n=n, digits_computed=d, epsilon=eps,
-                nine_run=run, nine_run_is_lower_bound=False,
-            )
-        if d >= cap:
-            return EpsilonProfile(
-                n=n, digits_computed=d, epsilon=eps,
-                nine_run=cap, nine_run_is_lower_bound=True,
-            )
+        # d never passes the cap, so a run that fills it is the cap
+        if run < d or d == cap:
+            return EpsilonProfile(n=root.n, digits_computed=d, epsilon=eps,
+                                  nine_run=run, nine_run_is_lower_bound=run == d)
         d = min(2 * d, cap)
 
 

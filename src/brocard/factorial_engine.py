@@ -86,14 +86,6 @@ def initial_state(pool: PrimePool) -> FactorialState:
     return FactorialState(n=0, residues=[1] * len(pool.primes))
 
 
-def advance(state: FactorialState, pool: PrimePool) -> FactorialState:
-    """The stream one step later: multiply every residue by n + 1."""
-    if state.n >= pool.max_n:
-        raise CeilingError(f"stream at n={state.n} cannot advance past pool max_n={pool.max_n}")
-    n = state.n + 1
-    return FactorialState(n=n, residues=[r * n % p for r, p in zip(state.residues, pool.primes)])
-
-
 def seed_state(pool: PrimePool, n: int) -> FactorialState:
     """The stream at position n, computed from n alone.
 

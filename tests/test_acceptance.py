@@ -12,9 +12,9 @@ import time
 from collections import Counter
 
 from brocard.conditions import verify
-from brocard.epsilon_lab import check_f_monotone, epsilon_digits, nine_run
+from brocard.epsilon_lab import FactorialRoot, check_f_monotone, epsilon_digits, nine_run
 from brocard.exact_arith import decimal_str, isqrt, legendre
-from brocard.factorial_engine import advance, build_prime_pool, initial_state
+from brocard.factorial_engine import build_prime_pool, initial_state, seed_state
 from brocard.poly_system import LatticePoint, eval_system, solve_window
 from brocard.qr_filter import ResidueFilter, nonresidue_bits, passes, table_ranks
 from brocard.cli_reporting import ReportWriter, dispatch
@@ -105,7 +105,7 @@ def test_criterion_4_epsilon_table_and_corrections(capsys):
     mismatches = []
     for n, ref in REFERENCE_EPSILON.items():
         d = len(ref)
-        ours = epsilon_digits(n, d).mantissa
+        ours = epsilon_digits(FactorialRoot(n), d).mantissa
         if abs(ours - int(ref)) > 1:
             mismatches.append((n, ours, ref))
     code = dispatch(["table", "--from", "1", "--to", "11"])
@@ -163,16 +163,13 @@ def test_criterion_7_filter_soundness_to_2000():
     kernel = ResidueFilter(pool, initial_state(pool), [nonresidue_bits(p) for p in front])
     kernel_survivors: list[int] = []
     kernel.scan_to(2000, kernel_survivors.append)
-    # reference: `passes` at every n on the stepped residue stream
-    state = initial_state(pool)
+    # reference: `passes` at every n on the residue stream seeded from n
     wrong_rejections = []
     solution_symbols_ok = True
     reference_survivors = []
     reference_rejections: Counter[int] = Counter()
-    for _ in range(2000):
-        state = advance(state, pool)
-        if state.n < 2:
-            continue
+    for n in range(2, 2001):
+        state = seed_state(pool, n)
         outcome = passes(state, pool)
         if outcome.passed:
             reference_survivors.append(state.n)
@@ -236,8 +233,8 @@ def test_criterion_8_resume_byte_identical(tmp_path):
 
 def test_criterion_9_nine_run_at_1e5():
     t0 = time.perf_counter()
-    first = nine_run(10**5)
-    second = nine_run(10**5)
+    first = nine_run(FactorialRoot(10**5))
+    second = nine_run(FactorialRoot(10**5))
     deterministic = first == second
 
     # invariants, re-derived here rather than trusted from the library:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -196,6 +197,86 @@ def test_table_cli_flags_misquoted_rows(capsys):
         assert "yes" in row
 
 
+# ---------------------------------------------------------------------------
+# epsilon and table against an oracle built from math.factorial, math.isqrt
+# and fractions.Fraction alone
+
+_ORACLE_NOTES = {8: "k corrected (misquoted as 26 in circulated tables)",
+                 11: "k corrected (misquoted as 6371 in circulated tables)"}
+
+
+def _oracle_scaled(f: int, d: int) -> int:
+    """floor(sqrt(f) * 10**d)."""
+    return math.isqrt(f * 10 ** (2 * d))
+
+
+def _oracle_fraction(f: int, d: int) -> str:
+    """The first d fractional digits of sqrt(f), as printed."""
+    return f"0.{_oracle_scaled(f, d) % 10**d:0{d}d}"
+
+
+def _oracle_ratio(f: int, d: int) -> str:
+    k = math.isqrt(f)
+    if f == k * k:
+        return "-"
+    if f - k * k == 2 * k:
+        return f"{k}.{'0' * d}"
+    # eps lies in [lo, lo + 10**-p), and x**2 / (2 (1 - x)) rises on [0, 1)
+    p = d + 60
+    lo = Fraction(_oracle_scaled(f, p) % 10**p, 10**p)
+    ends = {math.floor(x * x / (2 * (1 - x)) * 10**d) for x in (lo, lo + Fraction(1, 10**p))}
+    assert len(ends) == 1
+    whole, frac = divmod(ends.pop(), 10**d)
+    return f"{whole}.{frac:0{d}d}"
+
+
+def _oracle_table(n_from: int, n_to: int, d: int) -> str:
+    rows = [["n", "k", "parity", "defect", "epsilon", "ratio", "solution", "note"]]
+    for n in range(n_from, n_to + 1):
+        f = math.factorial(n)
+        k = math.isqrt(f)
+        rows.append([str(n), str(k), "odd" if k % 2 else "even", str(f - k * k),
+                     _oracle_fraction(f, d), _oracle_ratio(f, d),
+                     "yes" if f - k * k == 2 * k else "no", _ORACLE_NOTES.get(n, "")])
+    widths = [max(len(row[i]) for row in rows) for i in range(8)]
+    return "".join("  ".join([c.rjust(w) for c, w in zip(row[:6], widths)]
+                             + [c.ljust(w) for c, w in zip(row[6:], widths[6:])]).rstrip() + "\n"
+                   for row in rows)
+
+
+@pytest.mark.parametrize("d", [1, 9, 30])
+def test_table_matches_an_oracle(capsys, d):
+    assert dispatch(["table", "--from", "0", "--to", "60", "--digits", str(d)]) == 0
+    assert capsys.readouterr().out == _oracle_table(0, 60, d)
+
+
+@pytest.mark.parametrize("d", [1, 40, 64, 100])
+def test_epsilon_nine_run_matches_an_oracle(monkeypatch, capsys, d):
+    # one n! per command, and one root unless --digits is past the
+    # nine-run's 64, where the same n! takes a second
+    built, roots = [], []
+    monkeypatch.setattr(epsilon_lab, "factorial_exact",
+                        lambda n: built.append(n) or math.factorial(n))
+    monkeypatch.setattr(epsilon_lab, "isqrt", lambda x: roots.append(x) or math.isqrt(x))
+    for n in (0, 7, 9, 1000):
+        built.clear()
+        roots.clear()
+        assert dispatch(["epsilon", str(n), "--digits", str(d), "--nine-run"]) == 0
+        f = math.factorial(n)
+        digits = 64
+        while True:
+            frac = _oracle_fraction(f, digits)[2:]
+            run = len(frac) - len(frac.lstrip("9"))
+            if run < digits:
+                break
+            digits *= 2
+        assert capsys.readouterr().out == (
+            f"n: {n}\nepsilon: {_oracle_fraction(f, d)}\nnine_run: {run}\n"
+            f"nine_run_exact: true\ndigits_computed: {digits}\n")
+        assert built == [n]
+        assert len(roots) == (1 if d <= 64 else 2)
+
+
 @pytest.mark.parametrize("argv", [["verify", "40"], ["epsilon", "40", "--nine-run"],
                                   ["table", "--from", "38", "--to", "40"]])
 def test_exact_commands_give_notice_past_the_threshold(monkeypatch, capsys, argv):
@@ -292,10 +373,15 @@ def test_resource_errors_exit_2(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv", [["epsilon", "4000000"],
                                   ["table", "--from", "4000000", "--to", "4000000"],
-                                  ["table", "--from", "1", "--to", "4000000"]])
+                                  ["table", "--from", "1", "--to", "4000000"],
+                                  ["epsilon", "366", "--digits", "1", "--nine-run"],
+                                  ["table", "--from", "401", "--to", "401", "--digits", "9"]])
 def test_over_budget_commands_refuse_before_notice_and_factorial(monkeypatch, capsys, argv):
-    # n! is past the bit budget here: the command exits with the limit
-    # alone, before its stall notice, a table row or n! itself
+    # each command is past a 3000-bit budget at the largest precision it
+    # uses, though the last two are not at --digits: 366! at nine_run's 64
+    # digits, and 401! at the ratio's --digits + 10. The command exits with
+    # the limit alone, before its stall notice, a table row or n! itself
+    monkeypatch.setattr(exact_arith, "BIT_BUDGET", 3000)
     monkeypatch.setattr(conditions, "factorial_exact", _refuse_to_build)
     monkeypatch.setattr(epsilon_lab, "factorial_exact", _refuse_to_build)
     assert dispatch(argv) == 2

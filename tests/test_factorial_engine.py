@@ -14,16 +14,14 @@ from brocard import factorial_engine
 from brocard.factorial_engine import (
     MAX_SUPPORTED_N,
     CeilingError,
-    FactorialState,
     PrimePool,
-    advance,
     build_prime_pool,
     factorial_exact,
     initial_state,
     is_factorial,
     seed_state,
 )
-from brocard.qr_filter import ResidueFilter
+from brocard.qr_filter import ResidueFilter, nonresidue_bits
 
 # ---------------------------------------------------------------------------
 # prime pool
@@ -102,45 +100,20 @@ def test_initial_state():
     assert state.residues == [1, 1, 1]
 
 
-def test_advance_steps_match_factorials_mod_p():
-    pool = build_prime_pool(10, 2)  # primes 11, 13
-    state = initial_state(pool)
-    state = advance(state, pool)
-    assert state.n == 1 and state.residues == [1, 1]
-    for _ in range(4):
-        state = advance(state, pool)
-    assert state.n == 5
-    assert state.residues == [120 % 11, 120 % 13] == [10, 3]
-    state = advance(state, pool)
-    assert state.n == 6 and state.residues[0] == 720 % 11 == 5
-
-
-def test_advance_is_pure():
-    pool = build_prime_pool(10, 2)
-    state = initial_state(pool)
-    next_state = advance(state, pool)
-    assert state.n == 0 and state.residues == [1, 1]
-    assert next_state is not state and next_state.residues is not state.residues
-
-
-def test_advance_refuses_past_pool_ceiling():
-    pool = build_prime_pool(3, 2)
-    state = FactorialState(n=3, residues=[math.factorial(3) % p for p in pool.primes])
-    with pytest.raises(CeilingError):
-        advance(state, pool)
-
-
 def test_residue_stream_consistency_to_2000():
-    # oracle: exact factorial reduced independently at every step
+    # oracle: exact factorial reduced independently at every step of the
+    # scan kernel, its tabled front and its packed tail alike
     pool = build_prime_pool(2000, 8)
-    state = initial_state(pool)
-    for _ in range(2000):
-        state = advance(state, pool)
-        f = math.factorial(state.n)
+    tables = [nonresidue_bits(p) for p in pool.primes[:4]]
+    kernel = ResidueFilter(pool, initial_state(pool), tables)
+    for n in range(1, 2001):
+        kernel.scan_to(n, lambda n: None)
+        state = kernel.state()
+        f = math.factorial(n)
+        assert state.n == n
         for r, p in zip(state.residues, pool.primes):
             assert r == f % p
             assert r != 0  # pool primes never divide n!
-    assert state.n == 2000
 
 
 @settings(max_examples=60, deadline=None)

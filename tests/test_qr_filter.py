@@ -11,9 +11,7 @@ from brocard import qr_filter
 from brocard.exact_arith import is_prime_64, legendre
 from brocard.factorial_engine import (
     FactorialState,
-    advance,
     build_prime_pool,
-    initial_state,
     primes_above,
 )
 from brocard.qr_filter import (
@@ -23,13 +21,6 @@ from brocard.qr_filter import (
     table_pays,
     table_ranks,
 )
-
-
-def _state_at(pool, n):
-    state = initial_state(pool)
-    for _ in range(n):
-        state = advance(state, pool)
-    return state
 
 
 def _exact_state(pool, n):
@@ -75,7 +66,7 @@ def test_single_prime_examples():
     pool = build_prime_pool(10, 1)  # {11}
     # 6! + 1 = 721; (721 | 11) = -1.  4! + 1 = 25 is 3 mod 11, a residue (5^2)
     assert _kernel_verdicts(pool, 3, 6) == {4: None, 5: None, 6: 11}
-    out = passes(_state_at(pool, 6), pool)
+    out = passes(_exact_state(pool, 6), pool)
     assert not out.passed
     assert out.rejecting_prime == 11
     assert out.symbols_evaluated == 1
@@ -84,7 +75,7 @@ def test_single_prime_examples():
 def test_zero_symbol_passes():
     # 4! + 1 = 25 is divisible by the pool prime 5: symbol 0, not a rejection
     pool = build_prime_pool(4, 2)  # {5, 7}
-    state = _state_at(pool, 4)
+    state = _exact_state(pool, 4)
     assert state.residues[0] == 4  # 24 mod 5; 24 + 1 wraps to 0
     assert passes(state, pool).passed
     assert _kernel_verdicts(pool, 3, 4) == {4: None}
@@ -119,7 +110,7 @@ def test_solutions_always_pass():
     verdicts = _kernel_verdicts(pool, 0, 100)
     assert [n for n, v in verdicts.items() if v is None] == [4, 5, 7]
     for n in (4, 5, 7):
-        out = passes(_state_at(pool, n), pool)
+        out = passes(_exact_state(pool, n), pool)
         assert out.passed
         assert out.symbols_evaluated == 48
 
@@ -128,11 +119,8 @@ def test_first_rejecting_prime_in_pool_order():
     # oracle: evaluate every symbol directly on n! + 1
     pool = build_prime_pool(60, 10)
     kernel = _kernel_verdicts(pool, 0, 60)
-    state = initial_state(pool)
-    for _ in range(60):
-        state = advance(state, pool)
-        if state.n < 2:
-            continue
+    for n in range(2, 61):
+        state = _exact_state(pool, n)
         out = passes(state, pool)
         value = math.factorial(state.n) + 1
         rejectors = [p for p in pool.primes if legendre(value % p, p) == -1]
@@ -150,11 +138,8 @@ def test_soundness_no_false_rejection_small():
     # any rejected n must genuinely have non-square n! + 1
     pool = build_prime_pool(300, 8)
     kernel = _kernel_verdicts(pool, 0, 300)
-    state = initial_state(pool)
-    for _ in range(300):
-        state = advance(state, pool)
-        if state.n < 2:
-            continue
+    for n in range(2, 301):
+        state = _exact_state(pool, n)
         assert passes(state, pool).rejecting_prime == kernel[state.n]
         if kernel[state.n] is not None:
             f1 = math.factorial(state.n) + 1

@@ -19,13 +19,13 @@ ROOT = Path(__file__).resolve().parents[1]
 EXPORTS = {
     "conditions": ["FactorStructure", "NotASolutionError", "VerifyReport", "factor_structure",
                    "factorial_mod", "is_certificate", "legendre_certificate", "verify"],
-    "epsilon_lab": ["EpsilonProfile", "check_f_monotone", "epsilon_digits", "epsilon_of_k",
-                    "k_ratio_digits", "nine_run"],
+    "epsilon_lab": ["EpsilonProfile", "FactorialRoot", "check_f_monotone", "epsilon_digits",
+                    "epsilon_of_k", "k_ratio_digits", "nine_run"],
     "exact_arith": ["BitBudgetError", "ScaledDecimal", "is_prime_64", "isqrt", "legendre",
                     "sqrt_digits"],
-    "factorial_engine": ["CeilingError", "FactorialState", "PrimePool", "advance",
-                         "build_prime_pool", "factorial_exact", "initial_state",
-                         "is_factorial", "primes_above", "seed_state"],
+    "factorial_engine": ["CeilingError", "FactorialState", "PrimePool", "build_prime_pool",
+                         "factorial_exact", "initial_state", "is_factorial", "primes_above",
+                         "seed_state"],
     "poly_system": ["LatticePoint", "eval_system", "ferrari_identity_check", "roots_in_x",
                     "solve_window"],
     "qr_filter": ["FilterOutcome", "passes"],
