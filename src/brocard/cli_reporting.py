@@ -39,7 +39,7 @@ from .search_engine import (
 MISQUOTED_K = {8: 26, 11: 6371}
 
 # Exact work on n! (the factorial, then its isqrt) grows much faster than
-# n: `verify` takes 3.1-3.4 s at n = 10**5 and 12.9-14.1 s at 2 * 10**5
+# n: `verify` takes 2.5-2.8 s at n = 10**5 and 10.0-11.1 s at 2 * 10**5
 # (three runs each, 2-core x86-64 VM, CPython 3.11). From this n on,
 # `verify`, `epsilon` and `table` say so on stderr first.
 _STALL_NOTICE_N = 200_000
@@ -300,17 +300,31 @@ def _bool_str(flag: bool) -> str:
     return "true" if flag else "false"
 
 
+def _decimal_successor(digits: str) -> str:
+    """str(v + 1) from digits = str(v), v >= 0: the trailing 9s turn to 0s
+    and the digit before them goes up by one, or a 1 leads when all are 9s."""
+    head = digits.rstrip("9")
+    zeros = "0" * (len(digits) - len(head))
+    if not head:
+        return "1" + zeros
+    return head[:-1] + str(int(head[-1]) + 1) + zeros
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     _notice_exact_work("verify", args.n)
     report = conditions.verify(args.n)
+    # m_candidate = k + 1 (and m, at a solution) from k's digits: rendering
+    # a big int is quadratic in its length, the successor linear
+    k = decimal_str(report.k)
+    m_candidate = _decimal_successor(k)
     print(f"n: {report.n}")
-    print(f"k: {decimal_str(report.k)}")
-    print(f"m_candidate: {decimal_str(report.m_candidate)}")
+    print(f"k: {k}")
+    print(f"m_candidate: {m_candidate}")
     print(f"k_even: {_bool_str(report.k_even)}")
     print(f"defect: {decimal_str(report.defect)}")
     print(f"product_matches: {_bool_str(report.product_matches)}")
     print(f"is_solution: {_bool_str(report.is_solution)}")
-    print(f"m: {decimal_str(report.m) if report.m is not None else 'none'}")
+    print(f"m: {m_candidate if report.m is not None else 'none'}")
     if args.factor_structure:
         if report.is_solution:
             fs = conditions.factor_structure(args.n)

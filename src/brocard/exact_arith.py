@@ -104,12 +104,13 @@ class ScaledDecimal:
 
 
 def check_sqrt_operand(bits: int, d: int) -> None:
-    """Raise BitBudgetError if sqrt_digits of a bits-bit x to d digits
-    would build an operand past BIT_BUDGET."""
+    """Raise BitBudgetError if the root of a bits-bit x to d digits would
+    build an operand past BIT_BUDGET."""
     est_bits = bits + int(2 * d * _LOG2_10) + 2
     if est_bits > BIT_BUDGET:
         raise BitBudgetError(
-            f"sqrt_digits operand needs about {est_bits} bits, budget is {BIT_BUDGET}"
+            f"root of a {bits}-bit number at {d} digits needs an operand of about "
+            f"{est_bits} bits, budget is {BIT_BUDGET}"
         )
 
 

@@ -46,7 +46,9 @@ from .factorial_engine import (
 from .qr_filter import ResidueFilter, nonresidue_bits, table_ranks
 
 DEFAULT_POOL_SIZE = 48
-DEFAULT_CHECKPOINT_INTERVAL = 100_000
+# A scan with a checkpoint path saves one at every multiple of this n
+# and where stop_n halts it.
+CHECKPOINT_INTERVAL = 100_000
 
 # A range is sharded only where each shard gets at least this many n: a
 # shard pays a fork and a seed.
@@ -92,7 +94,6 @@ class SearchConfig(NamedTuple):
     max_n: int
     pool_size: int = DEFAULT_POOL_SIZE
     checkpoint_path: str | None = None
-    checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL
     resume: bool = False
     # Halt after this n (checkpoint saved), leaving the scan resumable.
     # Used to exercise resume paths without killing the process.
@@ -215,8 +216,6 @@ def run(config: SearchConfig, on_event: EventCallback | None = None) -> SearchSu
     """
     if config.max_n < 0:
         raise ValueError("max_n must be non-negative")
-    if config.checkpoint_interval < 1:
-        raise ValueError("checkpoint_interval must be positive")
     if config.resume and not config.checkpoint_path:
         raise ValueError("resume requires a checkpoint path")
 
@@ -253,7 +252,7 @@ def run(config: SearchConfig, on_event: EventCallback | None = None) -> SearchSu
         elif on_event:
             on_event("survivor", n, None, report.rejecting_prime)
 
-    interval = config.checkpoint_interval if config.checkpoint_path else None
+    interval = CHECKPOINT_INTERVAL if config.checkpoint_path else None
     pending: list[int] = []
 
     def end_piece(hi: int, found: list[int], residues: list[int]) -> None:

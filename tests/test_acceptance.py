@@ -11,6 +11,7 @@ import math
 import time
 from collections import Counter
 
+from brocard import search_engine
 from brocard.conditions import verify
 from brocard.epsilon_lab import FactorialRoot, check_f_monotone, epsilon_digits, nine_run
 from brocard.exact_arith import decimal_str, isqrt, legendre
@@ -197,9 +198,10 @@ def test_criterion_7_filter_soundness_to_2000():
              f"for n in {{4, 5, 7}} are 0 or +1; kernel agrees with passes = {agrees}")
 
 
-def test_criterion_8_resume_byte_identical(tmp_path):
+def test_criterion_8_resume_byte_identical(tmp_path, monkeypatch):
     t0 = time.perf_counter()
     max_n, half = 10**5, 5 * 10**4
+    monkeypatch.setattr(search_engine, "CHECKPOINT_INTERVAL", half)
 
     single_path = tmp_path / "single.jsonl"
     writer = ReportWriter.open(str(single_path))
@@ -211,14 +213,12 @@ def test_criterion_8_resume_byte_identical(tmp_path):
     split_path = tmp_path / "split.jsonl"
     ck = str(tmp_path / "c8.ck")
     writer = ReportWriter.open(str(split_path))
-    part1 = run(SearchConfig(max_n=max_n, checkpoint_path=ck,
-                             checkpoint_interval=half, stop_n=half),
+    part1 = run(SearchConfig(max_n=max_n, checkpoint_path=ck, stop_n=half),
                 on_event=writer.emit_event)
     writer.close()
     assert not part1.completed
     writer = ReportWriter.open(str(split_path), append=True)
-    part2 = run(SearchConfig(max_n=max_n, checkpoint_path=ck,
-                             checkpoint_interval=half, resume=True),
+    part2 = run(SearchConfig(max_n=max_n, checkpoint_path=ck, resume=True),
                 on_event=writer.emit_event)
     if part2.completed:
         writer.write_summary(max_n - 1)

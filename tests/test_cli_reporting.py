@@ -6,6 +6,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from brocard import cli_reporting, conditions, epsilon_lab, exact_arith
 from brocard.cli_reporting import (
@@ -173,6 +175,57 @@ def test_verify_cli(capsys):
     out = capsys.readouterr().out
     assert "half_even: 70 = 2 * 35" in out
     assert "half_pow: 72 = 2^3 * 9" in out
+
+
+# values ending in a run of 9s, so the successor carries
+_NINE_TAILED = st.builds(lambda head, j: head * 10**j + 10**j - 1,
+                         st.integers(0, 10**20), st.integers(1, 40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(v=st.integers(0, 10**60) | _NINE_TAILED)
+@example(v=0)
+@example(v=9)
+@example(v=10**40 - 1)
+def test_decimal_successor_is_str_of_the_next_int(v):
+    assert cli_reporting._decimal_successor(str(v)) == str(v + 1)
+
+
+def test_verify_cli_matches_oracle(capsys):
+    # every line from math.factorial and math.isqrt alone; k ends in 9 at
+    # n = 14 and 41, where m_candidate carries
+    carried = []
+    for n in range(61):
+        f = math.factorial(n)
+        k = math.isqrt(f)
+        m = math.isqrt(f + 1)
+        solution = m * m == f + 1
+        if k % 10 == 9:
+            carried.append(n)
+        assert dispatch(["verify", str(n)]) == 0
+        assert capsys.readouterr().out == (
+            f"n: {n}\nk: {k}\nm_candidate: {k + 1}\nk_even: {str(k % 2 == 0).lower()}\n"
+            f"defect: {f - k * k}\nproduct_matches: {str(k * (k + 2) == f).lower()}\n"
+            f"is_solution: {str(solution).lower()}\nm: {m if solution else 'none'}\n")
+    assert {14, 41} <= set(carried)
+
+
+@pytest.mark.parametrize("n", [41, 7])
+def test_verify_renders_k_and_defect_only(monkeypatch, capsys, n):
+    # m_candidate, and m at a solution, come from k's digits: two big ints
+    # rendered per verify, not three or four
+    rendered = []
+
+    def counting(v):
+        rendered.append(v)
+        return exact_arith.decimal_str(v)
+
+    monkeypatch.setattr(cli_reporting, "decimal_str", counting)
+    assert dispatch(["verify", str(n)]) == 0
+    capsys.readouterr()
+    f = math.factorial(n)
+    k = math.isqrt(f)
+    assert rendered == [k, f - k * k]
 
 
 def test_epsilon_cli(capsys):
@@ -388,6 +441,21 @@ def test_over_budget_commands_refuse_before_notice_and_factorial(monkeypatch, ca
     out, err = capsys.readouterr()
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("limit: ")
+
+
+@pytest.mark.parametrize("argv,digits", [(["epsilon", "4000000", "--nine-run"], 64),
+                                         (["table", "--from", "4000000", "--to", "4000000"],
+                                          19)],
+                         ids=["epsilon --nine-run", "table"])
+def test_limit_line_names_the_refused_root(capsys, argv, digits):
+    # refused up front by admit_exact, not by sqrt_digits: the line says
+    # which root, at how many digits, is past the budget
+    assert dispatch(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("limit: root of a ")
+    assert f"-bit number at {digits} digits" in err
+    assert "sqrt_digits" not in err
 
 
 def test_limits_ignore_the_environment(monkeypatch, capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brocard import factorial_engine
+from brocard import factorial_engine, search_engine
 from brocard.exact_arith import is_prime_64
 from brocard.factorial_engine import FactorialState, build_prime_pool
 from brocard.search_engine import (
@@ -101,8 +101,6 @@ def test_emitted_certificates_recheck_with_one_pow(max_n, pool_size):
 def test_run_validates_config():
     with pytest.raises(ValueError):
         run(SearchConfig(max_n=10, resume=True))
-    with pytest.raises(ValueError):
-        run(SearchConfig(max_n=10, checkpoint_interval=0))
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +200,10 @@ def test_checkpoint_rejects_structural_nonsense(tmp_path):
         load_checkpoint(path, pool)
 
 
-def test_checkpoint_written_at_interval(tmp_path):
+def test_checkpoint_written_at_interval(tmp_path, monkeypatch):
+    monkeypatch.setattr(search_engine, "CHECKPOINT_INTERVAL", 40)
     path = str(tmp_path / "scan.ck")
-    run(SearchConfig(max_n=100, pool_size=4, checkpoint_path=path, checkpoint_interval=40))
+    run(SearchConfig(max_n=100, pool_size=4, checkpoint_path=path))
     pool = build_prime_pool(100, 4)
     state = load_checkpoint(path, pool)
     assert state.n == 80  # last interval boundary inside the scan
@@ -214,7 +213,7 @@ def test_checkpoint_written_at_interval(tmp_path):
 
 @pytest.mark.parametrize("max_n,count,n", [(3000, 48, 2000), (3000, 2, 1500),
                                           (200_000, 48, 150_000)])
-def test_kernel_checkpoint_matches_exact_residues(tmp_path, max_n, count, n):
+def test_kernel_checkpoint_matches_exact_residues(tmp_path, monkeypatch, max_n, count, n):
     # the scan's checkpoint at n, from one pass (table front) and from a
     # short resumed segment (pow front, tail rebuilt by CRT), is the file
     # written from n! mod p computed exactly
@@ -223,39 +222,38 @@ def test_kernel_checkpoint_matches_exact_residues(tmp_path, max_n, count, n):
     f = math.factorial(n)
     save_checkpoint(FactorialState(n=n, residues=[f % p for p in pool.primes]), pool, exact)
     scanned = str(tmp_path / "scan.ck")
+    monkeypatch.setattr(search_engine, "CHECKPOINT_INTERVAL", n)
     if n < 100_000:
-        run(SearchConfig(max_n=max_n, pool_size=count, checkpoint_path=scanned,
-                         checkpoint_interval=n, stop_n=n))
+        run(SearchConfig(max_n=max_n, pool_size=count, checkpoint_path=scanned, stop_n=n))
     else:
         back = n - 2000
         g = math.factorial(back)
         save_checkpoint(FactorialState(n=back, residues=[g % p for p in pool.primes]),
                         pool, scanned)
         run(SearchConfig(max_n=max_n, pool_size=count, checkpoint_path=scanned,
-                         checkpoint_interval=n, resume=True, stop_n=n))
+                         resume=True, stop_n=n))
     assert (tmp_path / "scan.ck").read_bytes() == (tmp_path / "exact.ck").read_bytes()
 
 
-def test_stop_n_halts_with_checkpoint(tmp_path):
+def test_stop_n_halts_with_checkpoint(tmp_path, monkeypatch):
+    monkeypatch.setattr(search_engine, "CHECKPOINT_INTERVAL", 1000)
     path = str(tmp_path / "scan.ck")
-    summary = run(SearchConfig(max_n=100, pool_size=4, checkpoint_path=path,
-                               checkpoint_interval=1000, stop_n=30))
+    summary = run(SearchConfig(max_n=100, pool_size=4, checkpoint_path=path, stop_n=30))
     assert not summary.completed
     assert summary.scanned_range == (2, 30)
     state = load_checkpoint(path, build_prime_pool(100, 4))
     assert state.n == 30
 
 
-def test_resume_equivalence(tmp_path):
+def test_resume_equivalence(tmp_path, monkeypatch):
+    monkeypatch.setattr(search_engine, "CHECKPOINT_INTERVAL", 500)
     path = str(tmp_path / "scan.ck")
     full_summary, full_events = _collect(SearchConfig(max_n=1000, pool_size=8))
 
-    first = SearchConfig(max_n=1000, pool_size=8, checkpoint_path=path,
-                         checkpoint_interval=500, stop_n=500)
+    first = SearchConfig(max_n=1000, pool_size=8, checkpoint_path=path, stop_n=500)
     part1, events1 = _collect(first)
     assert not part1.completed
-    second = SearchConfig(max_n=1000, pool_size=8, checkpoint_path=path,
-                          checkpoint_interval=500, resume=True)
+    second = SearchConfig(max_n=1000, pool_size=8, checkpoint_path=path, resume=True)
     part2, events2 = _collect(second)
     assert part2.completed
     assert part2.resumed_from == 500

@@ -3,7 +3,6 @@ counts exactly what a one-process scan does, and fails as a whole."""
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import shutil
@@ -13,7 +12,7 @@ import time
 
 import pytest
 
-from brocard import cli_reporting, search_engine
+from brocard import search_engine
 from brocard.cli_reporting import dispatch
 from brocard.factorial_engine import build_prime_pool
 from brocard.qr_filter import ResidueFilter, table_ranks
@@ -75,18 +74,18 @@ def test_shards_match_one_process(tmp_path, monkeypatch, size, max_n):
     # event and the bytes of every checkpoint in one stream, for 2, 3 and 4
     # shards against one: with and without checkpoints, halted by stop_n,
     # and resumed from a checkpoint written mid-run
+    monkeypatch.setattr(search_engine, "CHECKPOINT_INTERVAL", 97)
     ck = str(tmp_path / "scan.ck")
     mid = str(tmp_path / "mid.ck")
     run(SearchConfig(max_n=max_n, pool_size=size, checkpoint_path=mid,
-                     checkpoint_interval=97, stop_n=max_n // 4 + 3))
+                     stop_n=max_n // 4 + 3))
     configs = {
         "plain": SearchConfig(max_n=max_n, pool_size=size),
-        "checkpointed": SearchConfig(max_n=max_n, pool_size=size, checkpoint_path=ck,
-                                     checkpoint_interval=97),
+        "checkpointed": SearchConfig(max_n=max_n, pool_size=size, checkpoint_path=ck),
         "stopped": SearchConfig(max_n=max_n, pool_size=size, checkpoint_path=ck,
-                                checkpoint_interval=97, stop_n=max_n * 3 // 4 + 5),
+                                stop_n=max_n * 3 // 4 + 5),
         "resumed": SearchConfig(max_n=max_n, pool_size=size, checkpoint_path=ck,
-                                checkpoint_interval=97, resume=True),
+                                resume=True),
     }
     for name, config in configs.items():
         results = []
@@ -157,8 +156,9 @@ def _checkpoint_positions(log):
 def test_checkpoints_only_on_the_grid_or_at_stop(tmp_path, monkeypatch, stop_n, written):
     # the 2- and 4-shard cuts fall inside checkpoint segments; no checkpoint
     # is written there
+    monkeypatch.setattr(search_engine, "CHECKPOINT_INTERVAL", 100)
     config = SearchConfig(max_n=3000, pool_size=3, checkpoint_path=str(tmp_path / "scan.ck"),
-                          checkpoint_interval=100, stop_n=stop_n)
+                          stop_n=stop_n)
     for shards in (2, 4):
         cuts = search_engine._shard_bounds(0, stop_n or 3000, shards)[1:-1]
         assert len(cuts) == shards - 1 and all(cut % 100 for cut in cuts)
@@ -191,8 +191,7 @@ def _cli_search(*extra):
 
 def test_cli_report_and_checkpoint_bytes_match_one_process(tmp_path, monkeypatch, capsys):
     # to a report file and to stdout, with a checkpoint every 250 n
-    monkeypatch.setattr(cli_reporting, "SearchConfig",
-                        functools.partial(SearchConfig, checkpoint_interval=250))
+    monkeypatch.setattr(search_engine, "CHECKPOINT_INTERVAL", 250)
     outputs = {}
     for shards in (1, 3):
         _force_shards(monkeypatch, shards)
@@ -242,7 +241,8 @@ _SPLIT_END = _CUT // 100 * 100 + 100
 def test_failed_child_stops_at_last_finished_segment(tmp_path, monkeypatch, how, at,
                                                      last_checkpoint):
     ck = str(tmp_path / "scan.ck")
-    config = SearchConfig(max_n=3000, pool_size=2, checkpoint_path=ck, checkpoint_interval=100)
+    monkeypatch.setattr(search_engine, "CHECKPOINT_INTERVAL", 100)
+    config = SearchConfig(max_n=3000, pool_size=2, checkpoint_path=ck)
     _, clean = _scan(monkeypatch, config, 1)
 
     _force_shards(monkeypatch, 2)
@@ -266,8 +266,7 @@ def test_failed_child_stops_at_last_finished_segment(tmp_path, monkeypatch, how,
 
 
 def test_cli_exits_2_on_a_failed_child_and_resumes_exactly(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli_reporting, "SearchConfig",
-                        functools.partial(SearchConfig, checkpoint_interval=100))
+    monkeypatch.setattr(search_engine, "CHECKPOINT_INTERVAL", 100)
     clean = tmp_path / "clean.jsonl"
     assert _cli_search("--report", str(clean)) == 0
     capsys.readouterr()
