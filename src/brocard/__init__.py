@@ -42,7 +42,6 @@ _SUBMODULE = {
         "PrimePool",
         "build_prime_pool",
         "factorial_exact",
-        "initial_state",
         "is_factorial",
         "primes_above",
         "seed_state",

@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from typing import IO, NamedTuple
 
 from . import __version__, conditions
@@ -91,26 +92,23 @@ def _check_survivor_line(line: ReportLine) -> None:
 
 
 class ReportWriter:
-    """Incremental JSONL writer with running counters.
+    """Incremental JSONL writer with a running count of lines per kind.
 
     Opening an existing file in append mode (the resume path) seeds the
-    counters from the lines already present, so the final summary covers
+    counts from the lines already present, so the final summary covers
     the whole file, not just the resumed segment.
     """
 
     def __init__(self, stream: IO[str], *, owns_stream: bool) -> None:
         self._stream = stream
         self._owns = owns_stream
-        self.solutions = 0
-        self.survivors = 0
-        self.unresolved = 0
-        self.summarized = False
+        self.kinds: Counter[str] = Counter()
 
     @classmethod
     def open(cls, path: str | None, append: bool = False) -> "ReportWriter":
         if path is None:
             return cls(sys.stdout, owns_stream=False)
-        kinds: list[str] = []
+        kinds: Counter[str] = Counter()
         if append and os.path.exists(path):
             with open(path, "rb") as fh:
                 for lineno, raw in enumerate(fh, 1):
@@ -118,36 +116,24 @@ class ReportWriter:
                     if not raw:
                         continue
                     try:
-                        kinds.append(json.loads(raw)["kind"])
+                        kinds[json.loads(raw)["kind"]] += 1
                     except (ValueError, TypeError, KeyError):
-                        # a torn write leaves a prefix of a line, never valid JSON
+                        # a torn write leaves a prefix of a line, never valid JSON,
+                        # and a kind that is a list or object cannot be counted
                         raise ReportFormatError(
                             f"{path}: line {lineno} is not a report line: {raw[:40]!r}"
                         ) from None
         stream = open(path, "a" if append else "w", encoding="ascii", newline="")
         writer = cls(stream, owns_stream=True)
-        for kind in kinds:
-            writer._count(kind)
+        writer.kinds.update(kinds)
         return writer
-
-    def _count(self, kind: str) -> None:
-        if kind == "solution":
-            self.solutions += 1
-            self.survivors += 1
-        elif kind == "survivor":
-            self.survivors += 1
-        elif kind == "unresolved":
-            self.unresolved += 1
-            self.survivors += 1
-        elif kind == "summary":
-            self.summarized = True
 
     def emit(self, line: ReportLine) -> None:
         if line.kind == "solution":
             _check_solution_line(line)
         elif line.kind == "survivor" and line.rejecting_prime is not None:
             _check_survivor_line(line)
-        self._count(line.kind)
+        self.kinds[line.kind] += 1
         self._stream.write(render_line(line) + "\n")
         self._stream.flush()
 
@@ -156,12 +142,15 @@ class ReportWriter:
         self.emit(ReportLine(kind=kind, n=n, m=m, rejecting_prime=rejecting_prime))
 
     def write_summary(self, scanned: int) -> None:
+        kinds = self.kinds
+        # every n the filter passed is settled as one of these three
+        survivors = kinds["solution"] + kinds["survivor"] + kinds["unresolved"]
         counters = {
             "scanned": scanned,
-            "rejected": scanned - self.survivors,
-            "survivors": self.survivors,
-            "solutions": self.solutions,
-            "unresolved": self.unresolved,
+            "rejected": scanned - survivors,
+            "survivors": survivors,
+            "solutions": kinds["solution"],
+            "unresolved": kinds["unresolved"],
         }
         self.emit(ReportLine(kind="summary", counters=counters))
 
@@ -266,7 +255,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         resume=args.resume,
     )
     writer = ReportWriter.open(args.report, append=args.resume)
-    if writer.summarized:
+    if writer.kinds["summary"]:
         writer.close()
         print(f"search: {args.report} already holds a summary, the scan is complete; "
               "nothing resumed", file=sys.stderr)

@@ -1,10 +1,10 @@
 """Factorial values, exact and as streams of residues modulo a prime pool.
 
-The scan never materializes n! per step. It carries n! mod p for each
-pool prime and multiplies by n to advance, which keeps the per-step cost
-flat. Exact factorials are computed on demand, for the CLI's exact
-commands and for the rare scan survivor that no Legendre certificate
-settles (`conditions.verify`).
+The scan never materializes n! per step. It carries n! mod the product
+of the pool primes and multiplies by n to advance, which keeps the
+per-step cost flat. Exact factorials are computed on demand, for the
+CLI's exact commands and for the rare scan survivor that no Legendre
+certificate settles (`conditions.verify`).
 """
 
 from __future__ import annotations
@@ -55,10 +55,10 @@ class PrimePool:
 
 class FactorialState(NamedTuple):
     """Position n of a factorial residue stream over some pool:
-    residues[i] == n! mod pool.primes[i]."""
+    residue == n! mod the product of pool.primes."""
 
     n: int
-    residues: list[int]
+    residue: int
 
 
 def primes_above(n: int) -> Iterator[int]:
@@ -81,11 +81,6 @@ def build_prime_pool(max_n: int, count: int) -> PrimePool:
     return PrimePool(max_n=max_n, primes=tuple(itertools.islice(primes_above(max_n), count)))
 
 
-def initial_state(pool: PrimePool) -> FactorialState:
-    """Stream positioned at n = 0, where n! = 1."""
-    return FactorialState(n=0, residues=[1] * len(pool.primes))
-
-
 def seed_state(pool: PrimePool, n: int) -> FactorialState:
     """The stream at position n, computed from n alone.
 
@@ -101,7 +96,7 @@ def seed_state(pool: PrimePool, n: int) -> FactorialState:
     packed = 1
     for a in range(2, n + 1, _SEED_BLOCK):
         packed = packed * math.prod(range(a, min(a + _SEED_BLOCK, n + 1))) % modulus
-    return FactorialState(n=n, residues=[packed % p for p in pool.primes])
+    return FactorialState(n=n, residue=packed)
 
 
 def factorial_exact(n: int) -> int:

@@ -15,7 +15,6 @@ hold the kernel to.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from typing import Callable, NamedTuple
 
 from .factorial_engine import FactorialState, PrimePool
@@ -61,11 +60,10 @@ def passes(state: FactorialState, pool: PrimePool) -> FilterOutcome:
     The rejecting prime, when any prime rejects, is the earliest in pool
     order, so the outcome is independent of evaluation strategy.
     """
-    assert len(state.residues) == len(pool.primes)
     evaluated = 0
-    for r, p in zip(state.residues, pool.primes):
+    for p in pool.primes:
         evaluated += 1
-        a = r + 1
+        a = state.residue % p + 1
         if a == p:
             # symbol is 0; a square can be divisible by p
             continue
@@ -146,38 +144,38 @@ class ResidueFilter:
     leading ranks a scan tests by table. Front: the first
     min(len(tables), _FRONT_WIDTH) of them each carry r = n! mod p,
     advanced as r = r * n % p and looked up in its table on every n.
-    Tail: the remaining primes share one residue R = n! mod their
-    product, multiplied up to n only for the n that pass the front, then
-    tested prime by prime: by r = R mod p and a table lookup while tables
-    last, by Euler's pow after. Primes are tested in pool order, so the
-    recorded rejecting prime is the first in pool order, as with `passes`.
+    Behind it the state's residue R = n! mod the product of the whole
+    pool is multiplied up to n only for the n that pass the front, then
+    the primes past the front are tested one by one: by r = R mod p and a
+    table lookup while tables last, by Euler's pow after. Primes are
+    tested in pool order, so the rejecting prime counted is the first in
+    pool order, as with `passes`.
     """
 
     def __init__(self, pool: PrimePool, state: FactorialState, tables: list[bytes]) -> None:
         primes = pool.primes
-        assert len(tables) <= len(primes) == len(state.residues)
-        self._width = width = min(len(tables), _FRONT_WIDTH)
+        assert len(tables) <= len(primes)
+        width = min(len(tables), _FRONT_WIDTH)
         # A front narrower than the loop is padded with modulus-1 slots
         # that never reject, so the scan loop has one shape.
         pad = _FRONT_WIDTH - width
         self._moduli = list(primes[:width]) + [1] * pad
         self._tables = list(tables[:width]) + [_NEVER] * pad
+        self._residues = [state.residue % p for p in primes[:width]] + [0] * pad
         self._tail_primes = tail = primes[width:]
         # (tail rank, p, table) while tables last, then (tail rank, p, (p - 1) / 2)
         tabled = len(tables) - width
         self._tail_tables = [(i, p, table) for i, (p, table)
                              in enumerate(zip(tail, tables[width:]))]
         self._tail_pows = [(i, p, (p - 1) >> 1) for i, p in enumerate(tail[tabled:], tabled)]
-        self._modulus = math.prod(tail)
-        self.n = state.n
-        self.rejections: Counter[int] = Counter()
-        self._residues = list(state.residues[:width]) + [0] * pad
-        self._packed = _crt(state.residues[width:], tail, self._modulus)
-        self._packed_n = state.n
+        self._modulus = math.prod(primes)
+        self.n = self._packed_n = state.n
+        self._packed = state.residue
 
-    def scan_to(self, hi: int, on_survivor: Callable[[int], None]) -> None:
-        """Filter n = self.n + 1 .. hi, counting each rejection under its
-        prime and calling on_survivor(n) in ascending n for the rest."""
+    def scan_to(self, hi: int, on_survivor: Callable[[int], None]) -> dict[int, int]:
+        """Filter n = self.n + 1 .. hi, calling on_survivor(n) in ascending
+        n for the n that pass. Returns this call's rejections, as a count
+        per rejecting prime."""
         p0, p1, p2, p3 = self._moduli
         t0, t1, t2, t3 = self._tables
         r0, r1, r2, r3 = self._residues
@@ -219,27 +217,16 @@ class ResidueFilter:
                             break
                     else:
                         on_survivor(n)
-        # a padded slot never rejects, so its count stays 0
-        for p, c in zip(self._moduli + list(self._tail_primes), [c0, c1, c2, c3] + counts):
-            if c:
-                self.rejections[p] += c
         self.n = max(self.n, hi)
         self._residues = [r0, r1, r2, r3]
         self._packed, self._packed_n = packed, packed_n
+        # a padded slot never rejects, so its count stays 0
+        return {p: c for p, c in zip(self._moduli + list(self._tail_primes),
+                                     [c0, c1, c2, c3] + counts) if c}
 
     def state(self) -> FactorialState:
-        """The stream position with one residue per pool prime, in pool order."""
+        """The stream position, its residue caught up to n."""
         self._packed = self._packed * math.prod(range(self._packed_n + 1, self.n + 1)) \
             % self._modulus
         self._packed_n = self.n
-        residues = self._residues[: self._width] + [self._packed % p for p in self._tail_primes]
-        return FactorialState(n=self.n, residues=residues)
-
-
-def _crt(residues: list[int], primes: tuple[int, ...], modulus: int) -> int:
-    """The x mod `modulus` (the product of `primes`) with x = r mod p for each pair."""
-    x = 0
-    for r, p in zip(residues, primes):
-        m = modulus // p
-        x += r * m * pow(m, -1, p)
-    return x % modulus
+        return FactorialState(n=self.n, residue=self._packed)

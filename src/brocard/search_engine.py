@@ -13,10 +13,11 @@ A long range is cut into shards, one per available core. The calling
 process builds the kernel's nonresidue tables, then runs the first shard
 itself and forks a child for each later one, which inherits the tables.
 Each child seeds the stream at its start from n alone (`seed_state`),
-filters, and sends its survivors and the residues at each checkpoint
-boundary back over a pipe. The calling process settles every survivor,
-delivers every event and writes every checkpoint, in ascending n,
-exactly as a one-process run would.
+filters, and sends back over a pipe one record per piece of its range
+cut at checkpoint boundaries: the survivors, the stream residue at the
+piece's end and the rejection counts. The calling process settles every
+survivor, delivers every event and writes every checkpoint, in
+ascending n, exactly as a one-process run would.
 
 Determinism is a hard requirement: for a fixed pool, the reported
 stream, all counters and every checkpoint are identical whether the scan
@@ -27,11 +28,13 @@ pool order is the one recorded.
 from __future__ import annotations
 
 import marshal
+import math
 import os
 import re
 import threading
 import time
 import zlib
+from collections import Counter
 from typing import BinaryIO, Callable, Iterator, NamedTuple, NoReturn
 
 from . import conditions
@@ -40,7 +43,6 @@ from .factorial_engine import (
     FactorialState,
     PrimePool,
     build_prime_pool,
-    initial_state,
     seed_state,
 )
 from .qr_filter import ResidueFilter, nonresidue_bits, table_ranks
@@ -121,17 +123,16 @@ def save_checkpoint(state: FactorialState, pool: PrimePool, path: str) -> None:
     """Write the stream position atomically (temp file, then rename).
 
     Layout is line-oriented ASCII: a version marker, max_n, n, the prime
-    count, one prime,residue pair per pool prime in pool order, and a
-    CRC32 over every preceding byte.
+    count, one prime,residue pair (n! mod that prime) per pool prime in
+    pool order, and a CRC32 over every preceding byte.
     """
-    assert len(state.residues) == len(pool.primes)
     lines = [
         _CHECKPOINT_MAGIC.decode("ascii"),
         f"max_n={pool.max_n}",
         f"n={state.n}",
         f"primes={len(pool.primes)}",
     ]
-    lines.extend(f"{p},{r}" for p, r in zip(pool.primes, state.residues))
+    lines.extend(f"{p},{state.residue % p}" for p in pool.primes)
     body = ("\n".join(lines) + "\n").encode("ascii")
     data = body + b"crc32=%08x\n" % zlib.crc32(body)
     tmp = f"{path}.tmp"
@@ -200,22 +201,34 @@ def load_checkpoint(path: str, pool: PrimePool) -> FactorialState:
         if not 1 <= r < p:
             raise CheckpointFormatError(f"{path}: residue {r} out of range for prime {p}")
         residues.append(r)
-    return FactorialState(n=fields["n"], residues=residues)
+    return FactorialState(n=fields["n"], residue=_crt(residues, pool.primes))
+
+
+def _crt(residues: list[int], primes: tuple[int, ...]) -> int:
+    """The x mod the product of `primes` with x = r mod p for each pair."""
+    modulus = math.prod(primes)
+    x = 0
+    for r, p in zip(residues, primes):
+        m = modulus // p
+        x += r * m * pow(m, -1, p)
+    return x % modulus
 
 
 # ---------------------------------------------------------------------------
 # scanning
 
 
-def run(config: SearchConfig, on_event: EventCallback | None = None) -> SearchSummary:
+def _drop_event(kind: str, n: int, m: int | None, rejecting_prime: int | None) -> None:
+    """The default event callback: ignore the event."""
+
+
+def run(config: SearchConfig, on_event: EventCallback = _drop_event) -> SearchSummary:
     """Execute (or resume) a scan and return what this segment found.
 
     Events are delivered in ascending n: ("solution", n, m, None),
     ("survivor", n, None, q) with q the rejecting prime, or None when exact
     arithmetic settled n, and ("unresolved", n, None, None).
     """
-    if config.max_n < 0:
-        raise ValueError("max_n must be non-negative")
     if config.resume and not config.checkpoint_path:
         raise ValueError("resume requires a checkpoint path")
 
@@ -226,7 +239,7 @@ def run(config: SearchConfig, on_event: EventCallback | None = None) -> SearchSu
         state = load_checkpoint(config.checkpoint_path, pool)
         resumed_from = state.n
     else:
-        state = initial_state(pool)
+        state = seed_state(pool, 0)
 
     start = state.n
     stop = config.max_n if config.stop_n is None else min(config.stop_n, config.max_n)
@@ -242,23 +255,24 @@ def run(config: SearchConfig, on_event: EventCallback | None = None) -> SearchSu
             report = conditions.verify(n, certify=conditions.CERTIFICATE_PRIMES)
         except CeilingError:
             unresolved.append(n)
-            if on_event:
-                on_event("unresolved", n, None, None)
+            on_event("unresolved", n, None, None)
             return
         if report.is_solution:
             solutions.append((n, report.m))
-            if on_event:
-                on_event("solution", n, report.m, None)
-        elif on_event:
+            on_event("solution", n, report.m, None)
+        else:
             on_event("survivor", n, None, report.rejecting_prime)
 
     interval = CHECKPOINT_INTERVAL if config.checkpoint_path else None
     pending: list[int] = []
+    rejections: Counter[int] = Counter()
 
-    def end_piece(hi: int, found: list[int], residues: list[int]) -> None:
-        """Take the survivors and end residues of the piece of the scan
-        ending at hi. A checkpoint segment that a shard cut splits is
-        settled and checkpointed only once its last piece is in."""
+    def end_piece(hi: int, found: list[int], residue: int, counts: dict[int, int]) -> None:
+        """Take the survivors, end residue and rejection counts of the
+        piece of the scan ending at hi. A checkpoint segment that a shard
+        cut splits is settled and checkpointed only once its last piece
+        is in."""
+        rejections.update(counts)
         pending.extend(found)
         if interval and hi % interval and hi != stop:
             return
@@ -267,7 +281,7 @@ def run(config: SearchConfig, on_event: EventCallback | None = None) -> SearchSu
         pending.clear()
         # a checkpoint at max_n off the interval grid is never written
         if interval and (hi % interval == 0 or hi < config.max_n):
-            save_checkpoint(FactorialState(n=hi, residues=residues), pool,
+            save_checkpoint(FactorialState(n=hi, residue=residue), pool,
                             config.checkpoint_path)
 
     tables = [nonresidue_bits(p) for p in pool.primes[:table_ranks(pool.primes, stop - start)]]
@@ -279,13 +293,11 @@ def run(config: SearchConfig, on_event: EventCallback | None = None) -> SearchSu
         kernel = ResidueFilter(pool, state, tables)
         for hi in _segment_ends(start, bounds[1], interval):
             found: list[int] = []
-            kernel.scan_to(hi, found.append)
-            end_piece(hi, found, kernel.state().residues)
-        rejections = kernel.rejections
+            counts = kernel.scan_to(hi, found.append)
+            end_piece(hi, found, kernel.state().residue, counts)
         for child in children:
             for hi in _segment_ends(child.lo, child.hi, interval):
                 end_piece(hi, *child.receive())
-            rejections.update(child.receive())
             child.reap()
     finally:
         for child in children:
@@ -377,11 +389,10 @@ def _scan_shard(pool: PrimePool, tables: list[bytes], lo: int, hi: int,
                 interval: int | None, parent_fd: int, write_fd: int) -> NoReturn:
     """Body of a shard child: scan lo + 1 .. hi from a seeded stream.
 
-    Sends one marshal record per piece (survivors, residues at its end),
-    then the rejection counts, or a one-line error message, into
-    write_fd. Ends with os._exit, so it never returns or raises into the
-    caller's stack and never flushes stdio buffers inherited from the
-    parent.
+    Sends one marshal record per piece, (survivors, residue at its end,
+    rejection counts), or a one-line error message, into write_fd. Ends
+    with os._exit, so it never returns or raises into the caller's stack
+    and never flushes stdio buffers inherited from the parent.
     """
     code = 1
     try:
@@ -391,9 +402,8 @@ def _scan_shard(pool: PrimePool, tables: list[bytes], lo: int, hi: int,
                 kernel = ResidueFilter(pool, seed_state(pool, lo), tables)
                 for end in _segment_ends(lo, hi, interval):
                     found: list[int] = []
-                    kernel.scan_to(end, found.append)
-                    _send(pipe, (found, kernel.state().residues))
-                _send(pipe, dict(kernel.rejections))
+                    counts = kernel.scan_to(end, found.append)
+                    _send(pipe, (found, kernel.state().residue, counts))
                 code = 0
             except Exception as exc:
                 _send(pipe, " ".join(f"{type(exc).__name__}: {exc}".split()))
@@ -413,8 +423,8 @@ class _Child:
     def _fail(self, reason: str) -> NoReturn:
         raise ShardError(f"scan shard n={self.lo + 1}..{self.hi}: {reason}")
 
-    def receive(self) -> "tuple[list[int], list[int]] | dict[int, int]":
-        """The child's next record; ShardError if it failed or died first."""
+    def receive(self) -> "tuple[list[int], int, dict[int, int]]":
+        """The child's next piece; ShardError if it failed or died first."""
         try:
             record = marshal.load(self.pipe)
         except (EOFError, ValueError, TypeError):

@@ -15,7 +15,7 @@ from brocard import search_engine
 from brocard.conditions import verify
 from brocard.epsilon_lab import FactorialRoot, check_f_monotone, epsilon_digits, nine_run
 from brocard.exact_arith import decimal_str, isqrt, legendre
-from brocard.factorial_engine import build_prime_pool, initial_state, seed_state
+from brocard.factorial_engine import build_prime_pool, seed_state
 from brocard.poly_system import LatticePoint, eval_system, solve_window
 from brocard.qr_filter import ResidueFilter, nonresidue_bits, passes, table_ranks
 from brocard.cli_reporting import ReportWriter, dispatch
@@ -161,9 +161,9 @@ def test_criterion_7_filter_soundness_to_2000():
     pool = build_prime_pool(2000, 48)
     # the scan's kernel over the whole range, as `search` runs it
     front = pool.primes[:table_ranks(pool.primes, 2000)]
-    kernel = ResidueFilter(pool, initial_state(pool), [nonresidue_bits(p) for p in front])
+    kernel = ResidueFilter(pool, seed_state(pool, 0), [nonresidue_bits(p) for p in front])
     kernel_survivors: list[int] = []
-    kernel.scan_to(2000, kernel_survivors.append)
+    kernel_rejections = kernel.scan_to(2000, kernel_survivors.append)
     # reference: `passes` at every n on the residue stream seeded from n
     wrong_rejections = []
     solution_symbols_ok = True
@@ -179,8 +179,7 @@ def test_criterion_7_filter_soundness_to_2000():
         if state.n in KNOWN_SOLUTIONS:
             if state.n not in kernel_survivors:
                 wrong_rejections.append(state.n)
-            symbols = [legendre((r + 1) % p, p)
-                       for r, p in zip(state.residues, pool.primes)]
+            symbols = [legendre((state.residue + 1) % p, p) for p in pool.primes]
             if not all(s in (0, 1) for s in symbols):
                 solution_symbols_ok = False
     for n in kernel_survivors:
@@ -190,7 +189,7 @@ def test_criterion_7_filter_soundness_to_2000():
             if isqrt(f1) ** 2 == f1:
                 wrong_rejections.append(n)
     agrees = (kernel_survivors == reference_survivors
-              and kernel.rejections == reference_rejections)
+              and kernel_rejections == dict(reference_rejections))
     elapsed = time.perf_counter() - t0
     ok = not wrong_rejections and solution_symbols_ok and agrees and elapsed < 30.0
     _verdict(7, ok, t0,

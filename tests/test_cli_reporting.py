@@ -94,6 +94,14 @@ def test_writer_append_seeds_counters(tmp_path):
     assert json.loads(lines[-1])["counters"]["solutions"] == 2
 
 
+def test_writer_append_refuses_a_kind_that_is_not_a_name(tmp_path):
+    # valid JSON, but no report line: its kind cannot be counted
+    path = tmp_path / "out.jsonl"
+    path.write_bytes(b'{"kind":"survivor","n":9}\n{"kind":["summary"]}\n')
+    with pytest.raises(cli_reporting.ReportFormatError, match="line 2 is not a report line"):
+        ReportWriter.open(str(path), append=True)
+
+
 # ---------------------------------------------------------------------------
 # CLI dispatch
 
@@ -467,12 +475,12 @@ def test_limits_ignore_the_environment(monkeypatch, capsys):
 
 
 def test_checkpoint_mismatch_exits_3(tmp_path, capsys):
-    from brocard.factorial_engine import build_prime_pool, initial_state
+    from brocard.factorial_engine import build_prime_pool, seed_state
     from brocard.search_engine import save_checkpoint
 
     ck = str(tmp_path / "scan.ck")
     pool = build_prime_pool(100, 4)
-    save_checkpoint(initial_state(pool), pool, ck)
+    save_checkpoint(seed_state(pool, 0), pool, ck)
     # same checkpoint, different pool size: mismatch
     assert dispatch(["search", "--max-n", "100", "--primes", "5",
                      "--checkpoint", ck, "--resume",

@@ -17,7 +17,6 @@ from brocard.factorial_engine import (
     PrimePool,
     build_prime_pool,
     factorial_exact,
-    initial_state,
     is_factorial,
     seed_state,
 )
@@ -93,27 +92,32 @@ def test_validation_holds_under_python_O():
 # residue stream
 
 
-def test_initial_state():
-    pool = build_prime_pool(10, 3)
-    state = initial_state(pool)
-    assert state.n == 0
-    assert state.residues == [1, 1, 1]
+def test_seed_state_packs_n_factorial():
+    # one residue, n! mod the pool product: 1 at n = 0 and 1, and at the
+    # edges of the 32-factor blocks and at max_n
+    for size in (1, 3, 48):
+        pool = build_prime_pool(40, size)
+        modulus = math.prod(pool.primes)
+        for n in (0, 1, 31, 32, 33, 40):
+            state = seed_state(pool, n)
+            assert state.n == n
+            assert state.residue == math.factorial(n) % modulus
 
 
 def test_residue_stream_consistency_to_2000():
     # oracle: exact factorial reduced independently at every step of the
-    # scan kernel, its tabled front and its packed tail alike
+    # scan kernel, which caught its residue up behind a tabled front
     pool = build_prime_pool(2000, 8)
     tables = [nonresidue_bits(p) for p in pool.primes[:4]]
-    kernel = ResidueFilter(pool, initial_state(pool), tables)
+    kernel = ResidueFilter(pool, seed_state(pool, 0), tables)
+    modulus = math.prod(pool.primes)
     for n in range(1, 2001):
         kernel.scan_to(n, lambda n: None)
         state = kernel.state()
-        f = math.factorial(n)
         assert state.n == n
-        for r, p in zip(state.residues, pool.primes):
-            assert r == f % p
-            assert r != 0  # pool primes never divide n!
+        assert state.residue == math.factorial(n) % modulus
+        # pool primes never divide n!
+        assert all(state.residue % p for p in pool.primes)
 
 
 @settings(max_examples=60, deadline=None)
@@ -127,12 +131,11 @@ def test_seed_state_matches_exact_and_streamed(size, max_n, data):
     points = [n for n in edges if 0 <= n <= max_n] + [data.draw(st.integers(0, max_n))]
     for n in points:
         seeded = seed_state(pool, n)
-        f = math.factorial(n)
         assert seeded.n == n
-        assert seeded.residues == [f % p for p in pool.primes]
-        kernel = ResidueFilter(pool, initial_state(pool), [])
+        assert seeded.residue == math.factorial(n) % math.prod(pool.primes)
+        kernel = ResidueFilter(pool, seed_state(pool, 0), [])
         kernel.scan_to(n, lambda n: None)
-        assert kernel.state().residues == seeded.residues
+        assert kernel.state() == seeded
 
 
 def test_seed_state_refuses_bad_positions():

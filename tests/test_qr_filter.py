@@ -24,8 +24,7 @@ from brocard.qr_filter import (
 
 
 def _exact_state(pool, n):
-    f = math.factorial(n)
-    return FactorialState(n=n, residues=[f % p for p in pool.primes])
+    return FactorialState(n=n, residue=math.factorial(n) % math.prod(pool.primes))
 
 
 def _kernel(pool, state, stop):
@@ -38,11 +37,12 @@ def _reference(pool, lo, hi):
     """n -> first rejecting prime in pool order, or None, for n = lo .. hi,
     from `passes` on residues of the exact n!."""
     verdicts = {}
+    modulus = math.prod(pool.primes)
     f = math.factorial(lo - 1)
     for n in range(lo, hi + 1):
         f *= n
         if n >= 2:
-            state = FactorialState(n=n, residues=[f % p for p in pool.primes])
+            state = FactorialState(n=n, residue=f % modulus)
             verdicts[n] = passes(state, pool).rejecting_prime
     return verdicts
 
@@ -52,13 +52,11 @@ def _kernel_verdicts(pool, start, stop):
     kernel = _kernel(pool, _exact_state(pool, start), stop)
     verdicts = {}
     for n in range(start + 1, stop + 1):
-        before = Counter(kernel.rejections)
         survived = []
-        kernel.scan_to(n, survived.append)
-        moved = kernel.rejections - before
+        counts = kernel.scan_to(n, survived.append)
         if n >= 2:
-            assert len(survived) + sum(moved.values()) == 1
-            verdicts[n] = None if survived else next(iter(moved))
+            assert len(survived) + sum(counts.values()) == 1
+            verdicts[n] = None if survived else next(iter(counts))
     return verdicts
 
 
@@ -76,7 +74,7 @@ def test_zero_symbol_passes():
     # 4! + 1 = 25 is divisible by the pool prime 5: symbol 0, not a rejection
     pool = build_prime_pool(4, 2)  # {5, 7}
     state = _exact_state(pool, 4)
-    assert state.residues[0] == 4  # 24 mod 5; 24 + 1 wraps to 0
+    assert state.residue % 5 == 4  # 24 mod 5; 24 + 1 wraps to 0
     assert passes(state, pool).passed
     assert _kernel_verdicts(pool, 3, 4) == {4: None}
 
@@ -230,9 +228,10 @@ def test_table_side_follows_segment_length():
        data=st.data())
 def test_kernel_matches_reference(size, max_n, side, data):
     """The kernel over a segment starting anywhere, cut into several
-    scan_to calls as checkpoints cut it, gives per prime the same
-    rejections and the same survivors as `passes` on exact residues, and
-    its state is n! mod p at every cut."""
+    scan_to calls as checkpoints cut it, gives in each call per prime the
+    same rejections and the same survivors as `passes` on exact residues,
+    which together account for every n the call scanned, and its state is
+    n! mod the pool product at every cut."""
     pool = build_prime_pool(max_n, size)
     p0 = pool.primes[0]
     start = data.draw(st.integers(0, max_n - 1), label="start")
@@ -249,12 +248,12 @@ def test_kernel_matches_reference(size, max_n, side, data):
     reference = _reference(pool, start + 1, stop)
     lo = start
     for hi in cuts:
-        before = Counter(kernel.rejections)
         survived = []
-        kernel.scan_to(hi, survived.append)
+        counts = kernel.scan_to(hi, survived.append)
         expected = [reference[n] for n in range(max(lo + 1, 2), hi + 1)]
         assert survived == [n for n in range(max(lo + 1, 2), hi + 1) if reference[n] is None]
-        assert kernel.rejections - before == Counter(p for p in expected if p is not None)
-        assert kernel.state().residues == _exact_state(pool, hi).residues
+        assert counts == dict(Counter(p for p in expected if p is not None))
+        assert sum(counts.values()) + len(survived) == len(expected)
+        assert kernel.state() == _exact_state(pool, hi)
         assert kernel.n == hi
         lo = hi

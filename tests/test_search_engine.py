@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from brocard import factorial_engine, search_engine
 from brocard.exact_arith import is_prime_64
-from brocard.factorial_engine import FactorialState, build_prime_pool
+from brocard.factorial_engine import FactorialState, build_prime_pool, seed_state
 from brocard.search_engine import (
     CheckpointChecksumError,
     CheckpointFormatError,
@@ -101,6 +101,8 @@ def test_emitted_certificates_recheck_with_one_pow(max_n, pool_size):
 def test_run_validates_config():
     with pytest.raises(ValueError):
         run(SearchConfig(max_n=10, resume=True))
+    with pytest.raises(ValueError, match="max_n must be non-negative"):
+        run(SearchConfig(max_n=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -109,19 +111,32 @@ def test_run_validates_config():
 
 def _pool_and_state(max_n=50, count=4, n=10):
     pool = build_prime_pool(max_n, count)
-    residues = [math.factorial(n) % p for p in pool.primes]
-    return pool, FactorialState(n=n, residues=residues)
+    return pool, FactorialState(n=n, residue=math.factorial(n) % math.prod(pool.primes))
 
 
 def test_checkpoint_roundtrip(tmp_path):
     pool, state = _pool_and_state()
     path = str(tmp_path / "scan.ck")
     save_checkpoint(state, pool, path)
-    loaded = load_checkpoint(path, pool)
-    assert loaded.n == state.n
-    assert loaded.residues == state.residues
+    assert load_checkpoint(path, pool) == state
     # atomic write leaves no temp file behind
     assert os.listdir(tmp_path) == ["scan.ck"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(size=st.sampled_from([1, 2, 3, 48]), max_n=st.integers(0, 3000), data=st.data())
+def test_checkpoint_roundtrip_of_seeded_states(tmp_path_factory, size, max_n, data):
+    # the file holds n! mod p per prime, and loading packs those back into
+    # the one residue the stream carries
+    pool = build_prime_pool(max_n, size)
+    state = seed_state(pool, data.draw(st.integers(0, max_n), label="n"))
+    path = str(tmp_path_factory.mktemp("ck") / "scan.ck")
+    save_checkpoint(state, pool, path)
+    assert load_checkpoint(path, pool) == state
+    with open(path, encoding="ascii") as fh:
+        pair_lines = fh.read().splitlines()[4:-1]
+    f = math.factorial(state.n)
+    assert pair_lines == [f"{p},{f % p}" for p in pool.primes]
 
 
 def test_checkpoint_is_plain_text(tmp_path):
@@ -189,11 +204,10 @@ def test_checkpoint_rejects_structural_nonsense(tmp_path):
     pool, state = _pool_and_state()
     path = str(tmp_path / "scan.ck")
     # n beyond max_n, with a valid checksum: structurally invalid
-    bad = FactorialState(n=60, residues=state.residues)
     import zlib
 
     lines = ["BROCARD-CHECKPOINT v1", "max_n=50", "n=60", "primes=4"]
-    lines += [f"{p},{r}" for p, r in zip(pool.primes, bad.residues)]
+    lines += [f"{p},{state.residue % p}" for p in pool.primes]
     body = ("\n".join(lines) + "\n").encode()
     (tmp_path / "scan.ck").write_bytes(body + b"crc32=%08x\n" % zlib.crc32(body))
     with pytest.raises(CheckpointFormatError):
@@ -207,28 +221,26 @@ def test_checkpoint_written_at_interval(tmp_path, monkeypatch):
     pool = build_prime_pool(100, 4)
     state = load_checkpoint(path, pool)
     assert state.n == 80  # last interval boundary inside the scan
-    for r, p in zip(state.residues, pool.primes):
-        assert r == math.factorial(80) % p
+    assert state.residue == math.factorial(80) % math.prod(pool.primes)
 
 
 @pytest.mark.parametrize("max_n,count,n", [(3000, 48, 2000), (3000, 2, 1500),
                                           (200_000, 48, 150_000)])
 def test_kernel_checkpoint_matches_exact_residues(tmp_path, monkeypatch, max_n, count, n):
     # the scan's checkpoint at n, from one pass (table front) and from a
-    # short resumed segment (pow front, tail rebuilt by CRT), is the file
-    # written from n! mod p computed exactly
+    # short resumed segment (pow front, residue packed by CRT at load), is
+    # the file written from n! mod the pool product computed exactly
     pool = build_prime_pool(max_n, count)
+    modulus = math.prod(pool.primes)
     exact = str(tmp_path / "exact.ck")
-    f = math.factorial(n)
-    save_checkpoint(FactorialState(n=n, residues=[f % p for p in pool.primes]), pool, exact)
+    save_checkpoint(FactorialState(n=n, residue=math.factorial(n) % modulus), pool, exact)
     scanned = str(tmp_path / "scan.ck")
     monkeypatch.setattr(search_engine, "CHECKPOINT_INTERVAL", n)
     if n < 100_000:
         run(SearchConfig(max_n=max_n, pool_size=count, checkpoint_path=scanned, stop_n=n))
     else:
         back = n - 2000
-        g = math.factorial(back)
-        save_checkpoint(FactorialState(n=back, residues=[g % p for p in pool.primes]),
+        save_checkpoint(FactorialState(n=back, residue=math.factorial(back) % modulus),
                         pool, scanned)
         run(SearchConfig(max_n=max_n, pool_size=count, checkpoint_path=scanned,
                          resume=True, stop_n=n))

@@ -224,7 +224,7 @@ def _fail_in_child(monkeypatch, at, how):
             if how == "hang":
                 time.sleep(60)
             raise RuntimeError("injected\nfault")
-        scan_to(self, hi, on_survivor)
+        return scan_to(self, hi, on_survivor)
 
     monkeypatch.setattr(ResidueFilter, "scan_to", failing)
 
