@@ -204,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="filter pool size (default %(default)s)")
     p.add_argument("--checkpoint", metavar="PATH", help="checkpoint file to write")
     p.add_argument("--resume", action="store_true",
-                   help="resume from the checkpoint (report is appended)")
+                   help="resume from the checkpoint (the --report file is appended)")
     p.add_argument("--report", metavar="PATH",
                    help="JSONL report path (default stdout)")
     p.set_defaults(handler=_cmd_search)
@@ -247,6 +247,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_search(args: argparse.Namespace) -> int:
     if args.resume and not args.checkpoint:
         print("error: --resume requires --checkpoint", file=sys.stderr)
+        return 1
+    # the summary counts what the report already holds: stdout holds nothing
+    if args.resume and not args.report:
+        print("error: --resume requires --report", file=sys.stderr)
         return 1
     config = SearchConfig(
         max_n=args.max_n,

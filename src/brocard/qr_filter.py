@@ -15,7 +15,7 @@ hold the kernel to.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .factorial_engine import FactorialState, PrimePool
 
@@ -145,11 +145,11 @@ class ResidueFilter:
     min(len(tables), _FRONT_WIDTH) of them each carry r = n! mod p,
     advanced as r = r * n % p and looked up in its table on every n.
     Behind it the state's residue R = n! mod the product of the whole
-    pool is multiplied up to n only for the n that pass the front, then
-    the primes past the front are tested one by one: by r = R mod p and a
-    table lookup while tables last, by Euler's pow after. Primes are
-    tested in pool order, so the rejecting prime counted is the first in
-    pool order, as with `passes`.
+    pool is multiplied up to n only for the n that pass the front (and to
+    hi as `scan_to(hi)` returns), then the primes past the front are
+    tested one by one: by r = R mod p and a table lookup while tables
+    last, by Euler's pow after. Primes are tested in pool order, so the
+    rejecting prime counted is the first in pool order, as with `passes`.
     """
 
     def __init__(self, pool: PrimePool, state: FactorialState, tables: list[bytes]) -> None:
@@ -169,20 +169,21 @@ class ResidueFilter:
                              in enumerate(zip(tail, tables[width:]))]
         self._tail_pows = [(i, p, (p - 1) >> 1) for i, p in enumerate(tail[tabled:], tabled)]
         self._modulus = math.prod(primes)
-        self.n = self._packed_n = state.n
+        self.n = state.n
         self._packed = state.residue
 
-    def scan_to(self, hi: int, on_survivor: Callable[[int], None]) -> dict[int, int]:
-        """Filter n = self.n + 1 .. hi, calling on_survivor(n) in ascending
-        n for the n that pass. Returns this call's rejections, as a count
-        per rejecting prime."""
+    def scan_to(self, hi: int) -> tuple[list[int], int, dict[int, int]]:
+        """Filter n = self.n + 1 .. hi. Returns the piece's record: the n
+        that pass, ascending, n! mod the pool product at hi, and the
+        piece's rejections as a count per rejecting prime."""
         p0, p1, p2, p3 = self._moduli
         t0, t1, t2, t3 = self._tables
         r0, r1, r2, r3 = self._residues
         c0 = c1 = c2 = c3 = 0
         tail_tables, tail_pows, modulus = self._tail_tables, self._tail_pows, self._modulus
         counts = [0] * len(self._tail_primes)
-        packed, packed_n = self._packed, self._packed_n
+        survivors: list[int] = []
+        packed, packed_n = self._packed, self.n
         prod = math.prod
         # 0! == 1! == 1: n = 1 changes no residue and is never tested
         for n in range(max(self.n + 1, 2), hi + 1):
@@ -216,17 +217,10 @@ class ResidueFilter:
                             counts[i] += 1
                             break
                     else:
-                        on_survivor(n)
+                        survivors.append(n)
         self.n = max(self.n, hi)
         self._residues = [r0, r1, r2, r3]
-        self._packed, self._packed_n = packed, packed_n
+        self._packed = packed * prod(range(packed_n + 1, self.n + 1)) % modulus
         # a padded slot never rejects, so its count stays 0
-        return {p: c for p, c in zip(self._moduli + list(self._tail_primes),
-                                     [c0, c1, c2, c3] + counts) if c}
-
-    def state(self) -> FactorialState:
-        """The stream position, its residue caught up to n."""
-        self._packed = self._packed * math.prod(range(self._packed_n + 1, self.n + 1)) \
-            % self._modulus
-        self._packed_n = self.n
-        return FactorialState(n=self.n, residue=self._packed)
+        return survivors, self._packed, {p: c for p, c in zip(
+            self._moduli + list(self._tail_primes), [c0, c1, c2, c3] + counts) if c}

@@ -6,16 +6,17 @@ n. Each survivor is settled by one `conditions.verify` call: a further
 prime above n that rejects it (a Legendre certificate, reported with the
 survivor), else an exact verdict; a survivor with neither, beyond the
 exact-verification ceiling, is reported UNRESOLVED rather than silently
-dropped. Progress is checkpointed to a small text file so a scan can be
-killed and resumed without rework.
+dropped. Every scan is cut into pieces on the `CHECKPOINT_INTERVAL`
+grid: at each grid point the survivors so far are settled and reported,
+and, given a path, progress is checkpointed to a small text file so a
+scan can be killed and resumed without rework.
 
 A long range is cut into shards, one per available core. The calling
 process builds the kernel's nonresidue tables, then runs the first shard
 itself and forks a child for each later one, which inherits the tables.
 Each child seeds the stream at its start from n alone (`seed_state`),
-filters, and sends back over a pipe one record per piece of its range
-cut at checkpoint boundaries: the survivors, the stream residue at the
-piece's end and the rejection counts. The calling process settles every
+filters, and sends back over a pipe the record `ResidueFilter.scan_to`
+returns for each piece of its range. The calling process settles every
 survivor, delivers every event and writes every checkpoint, in
 ascending n, exactly as a one-process run would.
 
@@ -48,8 +49,8 @@ from .factorial_engine import (
 from .qr_filter import ResidueFilter, nonresidue_bits, table_ranks
 
 DEFAULT_POOL_SIZE = 48
-# A scan with a checkpoint path saves one at every multiple of this n
-# and where stop_n halts it.
+# Every scan settles its survivors at each multiple of this n and where
+# it stops; one with a checkpoint path saves a checkpoint there too.
 CHECKPOINT_INTERVAL = 100_000
 
 # A range is sharded only where each shard gets at least this many n: a
@@ -263,7 +264,6 @@ def run(config: SearchConfig, on_event: EventCallback = _drop_event) -> SearchSu
         else:
             on_event("survivor", n, None, report.rejecting_prime)
 
-    interval = CHECKPOINT_INTERVAL if config.checkpoint_path else None
     pending: list[int] = []
     rejections: Counter[int] = Counter()
 
@@ -274,13 +274,13 @@ def run(config: SearchConfig, on_event: EventCallback = _drop_event) -> SearchSu
         is in."""
         rejections.update(counts)
         pending.extend(found)
-        if interval and hi % interval and hi != stop:
+        if hi % CHECKPOINT_INTERVAL and hi != stop:
             return
         for n in pending:
             settle_survivor(n)
         pending.clear()
-        # a checkpoint at max_n off the interval grid is never written
-        if interval and (hi % interval == 0 or hi < config.max_n):
+        # a checkpoint at max_n off the grid is never written
+        if config.checkpoint_path and (hi % CHECKPOINT_INTERVAL == 0 or hi < config.max_n):
             save_checkpoint(FactorialState(n=hi, residue=residue), pool,
                             config.checkpoint_path)
 
@@ -289,14 +289,12 @@ def run(config: SearchConfig, on_event: EventCallback = _drop_event) -> SearchSu
     children: list[_Child] = []
     try:
         for lo, hi in zip(bounds[1:], bounds[2:]):
-            children.append(_fork_shard(pool, tables, lo, hi, interval))
+            children.append(_fork_shard(pool, tables, lo, hi))
         kernel = ResidueFilter(pool, state, tables)
-        for hi in _segment_ends(start, bounds[1], interval):
-            found: list[int] = []
-            counts = kernel.scan_to(hi, found.append)
-            end_piece(hi, found, kernel.state().residue, counts)
+        for hi in _segment_ends(start, bounds[1]):
+            end_piece(hi, *kernel.scan_to(hi))
         for child in children:
-            for hi in _segment_ends(child.lo, child.hi, interval):
+            for hi in _segment_ends(child.lo, child.hi):
                 end_piece(hi, *child.receive())
             child.reap()
     finally:
@@ -355,11 +353,11 @@ def _shard_bounds(start: int, stop: int, count: int) -> list[int]:
     return bounds + [stop]
 
 
-def _segment_ends(lo: int, hi: int, interval: int | None) -> Iterator[int]:
+def _segment_ends(lo: int, hi: int) -> Iterator[int]:
     """The last n of each piece of lo + 1 .. hi: every checkpoint
     boundary inside, then hi."""
     while lo < hi:
-        lo = min(hi, (lo // interval + 1) * interval) if interval else hi
+        lo = min(hi, (lo // CHECKPOINT_INTERVAL + 1) * CHECKPOINT_INTERVAL)
         yield lo
 
 
@@ -368,15 +366,14 @@ def _send(pipe: BinaryIO, record: object) -> None:
     pipe.flush()
 
 
-def _fork_shard(pool: PrimePool, tables: list[bytes], lo: int, hi: int,
-                interval: int | None) -> "_Child":
+def _fork_shard(pool: PrimePool, tables: list[bytes], lo: int, hi: int) -> "_Child":
     """Fork a shard child to scan lo + 1 .. hi with `tables`, which it
     inherits. One pipe carries its records to the parent."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
         if pid == 0:
-            _scan_shard(pool, tables, lo, hi, interval, read_fd, write_fd)
+            _scan_shard(pool, tables, lo, hi, read_fd, write_fd)
     except BaseException:
         os.close(read_fd)
         raise
@@ -386,7 +383,7 @@ def _fork_shard(pool: PrimePool, tables: list[bytes], lo: int, hi: int,
 
 
 def _scan_shard(pool: PrimePool, tables: list[bytes], lo: int, hi: int,
-                interval: int | None, parent_fd: int, write_fd: int) -> NoReturn:
+                parent_fd: int, write_fd: int) -> NoReturn:
     """Body of a shard child: scan lo + 1 .. hi from a seeded stream.
 
     Sends one marshal record per piece, (survivors, residue at its end,
@@ -400,10 +397,8 @@ def _scan_shard(pool: PrimePool, tables: list[bytes], lo: int, hi: int,
         with open(write_fd, "wb") as pipe:
             try:
                 kernel = ResidueFilter(pool, seed_state(pool, lo), tables)
-                for end in _segment_ends(lo, hi, interval):
-                    found: list[int] = []
-                    counts = kernel.scan_to(end, found.append)
-                    _send(pipe, (found, kernel.state().residue, counts))
+                for end in _segment_ends(lo, hi):
+                    _send(pipe, kernel.scan_to(end))
                 code = 0
             except Exception as exc:
                 _send(pipe, " ".join(f"{type(exc).__name__}: {exc}".split()))

@@ -162,8 +162,7 @@ def test_criterion_7_filter_soundness_to_2000():
     # the scan's kernel over the whole range, as `search` runs it
     front = pool.primes[:table_ranks(pool.primes, 2000)]
     kernel = ResidueFilter(pool, seed_state(pool, 0), [nonresidue_bits(p) for p in front])
-    kernel_survivors: list[int] = []
-    kernel_rejections = kernel.scan_to(2000, kernel_survivors.append)
+    kernel_survivors, _, kernel_rejections = kernel.scan_to(2000)
     # reference: `passes` at every n on the residue stream seeded from n
     wrong_rejections = []
     solution_symbols_ok = True

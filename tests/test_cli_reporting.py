@@ -388,6 +388,16 @@ def test_usage_error_resume_without_checkpoint(capsys):
     assert "--resume requires --checkpoint" in capsys.readouterr().err
 
 
+def test_usage_error_resume_without_report(tmp_path, capsys):
+    # the summary of a resumed scan counts the lines its report already
+    # holds; stdout holds none, so its counts would be false
+    ck = tmp_path / "scan.ck"
+    assert dispatch(["search", "--max-n", "3000", "--checkpoint", str(ck), "--resume"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: --resume requires --report\n"
+    assert not ck.exists()
+
+
 def test_resume_with_torn_report_line_exits_1(tmp_path, capsys):
     report, ck = tmp_path / "scan.jsonl", str(tmp_path / "scan.ck")
     args = ["search", "--max-n", "1000", "--primes", "8", "--checkpoint", ck,

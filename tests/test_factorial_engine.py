@@ -112,12 +112,11 @@ def test_residue_stream_consistency_to_2000():
     kernel = ResidueFilter(pool, seed_state(pool, 0), tables)
     modulus = math.prod(pool.primes)
     for n in range(1, 2001):
-        kernel.scan_to(n, lambda n: None)
-        state = kernel.state()
-        assert state.n == n
-        assert state.residue == math.factorial(n) % modulus
+        _, residue, _ = kernel.scan_to(n)
+        assert kernel.n == n
+        assert residue == math.factorial(n) % modulus
         # pool primes never divide n!
-        assert all(state.residue % p for p in pool.primes)
+        assert all(residue % p for p in pool.primes)
 
 
 @settings(max_examples=60, deadline=None)
@@ -134,8 +133,8 @@ def test_seed_state_matches_exact_and_streamed(size, max_n, data):
         assert seeded.n == n
         assert seeded.residue == math.factorial(n) % math.prod(pool.primes)
         kernel = ResidueFilter(pool, seed_state(pool, 0), [])
-        kernel.scan_to(n, lambda n: None)
-        assert kernel.state() == seeded
+        _, residue, _ = kernel.scan_to(n)
+        assert kernel.n == n and residue == seeded.residue
 
 
 def test_seed_state_refuses_bad_positions():

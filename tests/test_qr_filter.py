@@ -48,12 +48,14 @@ def _reference(pool, lo, hi):
 
 
 def _kernel_verdicts(pool, start, stop):
-    """n -> rejecting prime or None for n = start + 1 .. stop, one n per call."""
+    """n -> rejecting prime or None for n = start + 1 .. stop, one n per
+    call, each returning n! mod the pool product."""
     kernel = _kernel(pool, _exact_state(pool, start), stop)
+    modulus = math.prod(pool.primes)
     verdicts = {}
     for n in range(start + 1, stop + 1):
-        survived = []
-        counts = kernel.scan_to(n, survived.append)
+        survived, residue, counts = kernel.scan_to(n)
+        assert residue == math.factorial(n) % modulus
         if n >= 2:
             assert len(survived) + sum(counts.values()) == 1
             verdicts[n] = None if survived else next(iter(counts))
@@ -230,8 +232,8 @@ def test_kernel_matches_reference(size, max_n, side, data):
     """The kernel over a segment starting anywhere, cut into several
     scan_to calls as checkpoints cut it, gives in each call per prime the
     same rejections and the same survivors as `passes` on exact residues,
-    which together account for every n the call scanned, and its state is
-    n! mod the pool product at every cut."""
+    which together account for every n the call scanned, and the residue
+    it returns is n! mod the pool product at every cut."""
     pool = build_prime_pool(max_n, size)
     p0 = pool.primes[0]
     start = data.draw(st.integers(0, max_n - 1), label="start")
@@ -248,12 +250,11 @@ def test_kernel_matches_reference(size, max_n, side, data):
     reference = _reference(pool, start + 1, stop)
     lo = start
     for hi in cuts:
-        survived = []
-        counts = kernel.scan_to(hi, survived.append)
+        survived, residue, counts = kernel.scan_to(hi)
         expected = [reference[n] for n in range(max(lo + 1, 2), hi + 1)]
         assert survived == [n for n in range(max(lo + 1, 2), hi + 1) if reference[n] is None]
         assert counts == dict(Counter(p for p in expected if p is not None))
         assert sum(counts.values()) + len(survived) == len(expected)
-        assert kernel.state() == _exact_state(pool, hi)
+        assert residue == math.factorial(hi) % math.prod(pool.primes)
         assert kernel.n == hi
         lo = hi

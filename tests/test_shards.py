@@ -100,6 +100,29 @@ def test_shards_match_one_process(tmp_path, monkeypatch, size, max_n):
             assert got == one, (name, shards)
 
 
+@pytest.mark.parametrize("shards", [1, 2])
+def test_scan_without_checkpoint_reports_on_the_grid(monkeypatch, shards):
+    # a scan with no checkpoint path is cut on the same grid and settles
+    # each segment as it ends: the solutions are out before the kernel
+    # scans past the first boundary, and no checkpoint is saved
+    monkeypatch.setattr(search_engine, "CHECKPOINT_INTERVAL", 100)
+    _force_shards(monkeypatch, shards)
+    log, saved = [], []
+    scan_to = ResidueFilter.scan_to
+
+    def logged(self, hi):
+        log.append(("scan_to", hi))
+        return scan_to(self, hi)
+
+    monkeypatch.setattr(ResidueFilter, "scan_to", logged)
+    monkeypatch.setattr(search_engine, "save_checkpoint", lambda *args: saved.append(args))
+    summary = run(SearchConfig(max_n=3000), on_event=lambda *event: log.append(event[:2]))
+    assert summary.solutions == [(4, 5), (5, 11), (7, 71)]
+    past_first = next(i for i, (what, n) in enumerate(log) if what == "scan_to" and n > 100)
+    assert {("solution", 4), ("solution", 5), ("solution", 7)} <= set(log[:past_first])
+    assert log[0] == ("scan_to", 100) and saved == []
+
+
 def test_shard_count_follows_cores_and_span(monkeypatch):
     monkeypatch.setattr(search_engine.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     span = search_engine._MIN_SHARD_SPAN
@@ -217,14 +240,14 @@ def _fail_in_child(monkeypatch, at, how):
     parent = os.getpid()
     scan_to = ResidueFilter.scan_to
 
-    def failing(self, hi, on_survivor):
+    def failing(self, hi):
         if os.getpid() != parent and hi >= at:
             if how == "kill":
                 os.kill(os.getpid(), signal.SIGKILL)
             if how == "hang":
                 time.sleep(60)
             raise RuntimeError("injected\nfault")
-        return scan_to(self, hi, on_survivor)
+        return scan_to(self, hi)
 
     monkeypatch.setattr(ResidueFilter, "scan_to", failing)
 
@@ -287,7 +310,9 @@ def test_cli_exits_2_on_a_failed_child_and_resumes_exactly(tmp_path, monkeypatch
 
 
 def test_interrupt_in_parent_kills_and_reaps_children(tmp_path, monkeypatch):
-    # the children hang, so only a kill ends them in time
+    # the children hang, so only a kill ends them in time; on a 100-n
+    # grid shard 0 delivers its events past n = 500 before its cut
+    monkeypatch.setattr(search_engine, "CHECKPOINT_INTERVAL", 100)
     _force_shards(monkeypatch, 4)
     _, pids = _record(monkeypatch)
     _fail_in_child(monkeypatch, 0, "hang")
