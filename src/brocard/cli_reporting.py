@@ -8,8 +8,8 @@ rejecting prime is re-checked as its certificate, as a last defense
 against engine bugs.
 
 Exit codes: 0 success, 1 usage error or an unreadable report line on
-resume, 2 internal or resource error (a failed scan shard among them),
-3 checkpoint mismatch.
+resume, 2 internal or resource error (a failed scan shard or a report
+missing on resume among them), 3 checkpoint mismatch.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from collections import Counter
 from typing import IO, NamedTuple
@@ -94,9 +93,10 @@ def _check_survivor_line(line: ReportLine) -> None:
 class ReportWriter:
     """Incremental JSONL writer with a running count of lines per kind.
 
-    Opening an existing file in append mode (the resume path) seeds the
-    counts from the lines already present, so the final summary covers
-    the whole file, not just the resumed segment.
+    Opening a file in append mode (the resume path) seeds the counts from
+    the lines already present, so the final summary covers the whole
+    file, not just the resumed segment. The file must exist: a summary
+    over a missing report would count the resumed segment alone.
     """
 
     def __init__(self, stream: IO[str], *, owns_stream: bool) -> None:
@@ -109,7 +109,7 @@ class ReportWriter:
         if path is None:
             return cls(sys.stdout, owns_stream=False)
         kinds: Counter[str] = Counter()
-        if append and os.path.exists(path):
+        if append:
             with open(path, "rb") as fh:
                 for lineno, raw in enumerate(fh, 1):
                     raw = raw.strip()

@@ -7,9 +7,9 @@ The filter is sound by construction: it can only reject non-solutions.
 Each pool prime passes a random non-solution with probability about 1/2,
 so a 48-prime pool leaks a false survivor roughly once in 2**48 trials.
 
-`ResidueFilter` is the kernel the scan runs. `passes` evaluates one
-stream position symbol by symbol and is kept as the reference the tests
-hold the kernel to.
+`scan_piece` is the kernel the scan runs, one piece of n at a time.
+`passes` evaluates one stream position symbol by symbol and is kept as
+the reference the tests hold the kernel to.
 """
 
 from __future__ import annotations
@@ -137,90 +137,79 @@ def nonresidue_bits(p: int) -> bytes:
     return packed.to_bytes((p + 7) >> 3, "little")
 
 
-class ResidueFilter:
-    """The scan kernel: n! mod the pool, filtered at every n >= 2.
+def scan_piece(pool: PrimePool, tables: list[bytes], lo: int, residue: int,
+               hi: int) -> tuple[list[int], int, dict[int, int]]:
+    """The scan kernel: filter n = lo + 1 .. hi, for n >= 2, starting from
+    `residue` = lo! mod the product of the whole pool. Returns the piece's
+    record: the n that pass, ascending, hi! mod the pool product, and the
+    piece's rejections as a count per rejecting prime. The record is all
+    the next piece needs, so pieces run from any predecessor's record.
 
     tables[i] is `nonresidue_bits` of the prime at pool rank i, for the
     leading ranks a scan tests by table. Front: the first
     min(len(tables), _FRONT_WIDTH) of them each carry r = n! mod p,
     advanced as r = r * n % p and looked up in its table on every n.
-    Behind it the state's residue R = n! mod the product of the whole
-    pool is multiplied up to n only for the n that pass the front (and to
-    hi as `scan_to(hi)` returns), then the primes past the front are
-    tested one by one: by r = R mod p and a table lookup while tables
-    last, by Euler's pow after. Primes are tested in pool order, so the
-    rejecting prime counted is the first in pool order, as with `passes`.
+    Behind it the residue R = n! mod the pool product is multiplied up to
+    n only for the n that pass the front (and to hi at the end), then the
+    primes past the front are tested one by one: by r = R mod p and a
+    table lookup while tables last, by Euler's pow after. Primes are
+    tested in pool order, so the rejecting prime counted is the first in
+    pool order, as with `passes`.
     """
-
-    def __init__(self, pool: PrimePool, state: FactorialState, tables: list[bytes]) -> None:
-        primes = pool.primes
-        assert len(tables) <= len(primes)
-        width = min(len(tables), _FRONT_WIDTH)
-        # A front narrower than the loop is padded with modulus-1 slots
-        # that never reject, so the scan loop has one shape.
-        pad = _FRONT_WIDTH - width
-        self._moduli = list(primes[:width]) + [1] * pad
-        self._tables = list(tables[:width]) + [_NEVER] * pad
-        self._residues = [state.residue % p for p in primes[:width]] + [0] * pad
-        self._tail_primes = tail = primes[width:]
-        # (tail rank, p, table) while tables last, then (tail rank, p, (p - 1) / 2)
-        tabled = len(tables) - width
-        self._tail_tables = [(i, p, table) for i, (p, table)
-                             in enumerate(zip(tail, tables[width:]))]
-        self._tail_pows = [(i, p, (p - 1) >> 1) for i, p in enumerate(tail[tabled:], tabled)]
-        self._modulus = math.prod(primes)
-        self.n = state.n
-        self._packed = state.residue
-
-    def scan_to(self, hi: int) -> tuple[list[int], int, dict[int, int]]:
-        """Filter n = self.n + 1 .. hi. Returns the piece's record: the n
-        that pass, ascending, n! mod the pool product at hi, and the
-        piece's rejections as a count per rejecting prime."""
-        p0, p1, p2, p3 = self._moduli
-        t0, t1, t2, t3 = self._tables
-        r0, r1, r2, r3 = self._residues
-        c0 = c1 = c2 = c3 = 0
-        tail_tables, tail_pows, modulus = self._tail_tables, self._tail_pows, self._modulus
-        counts = [0] * len(self._tail_primes)
-        survivors: list[int] = []
-        packed, packed_n = self._packed, self.n
-        prod = math.prod
-        # 0! == 1! == 1: n = 1 changes no residue and is never tested
-        for n in range(max(self.n + 1, 2), hi + 1):
-            r0 = r0 * n % p0
-            r1 = r1 * n % p1
-            r2 = r2 * n % p2
-            r3 = r3 * n % p3
-            if t0[r0 >> 3] >> (r0 & 7) & 1:
-                c0 += 1
-            elif t1[r1 >> 3] >> (r1 & 7) & 1:
-                c1 += 1
-            elif t2[r2 >> 3] >> (r2 & 7) & 1:
-                c2 += 1
-            elif t3[r3 >> 3] >> (r3 & 7) & 1:
-                c3 += 1
+    primes = pool.primes
+    width = min(len(tables), _FRONT_WIDTH)
+    # A front narrower than the loop is padded with modulus-1 slots that
+    # never reject, so the scan loop has one shape.
+    pad = _FRONT_WIDTH - width
+    moduli = list(primes[:width]) + [1] * pad
+    p0, p1, p2, p3 = moduli
+    t0, t1, t2, t3 = list(tables[:width]) + [_NEVER] * pad
+    r0, r1, r2, r3 = [residue % p for p in moduli]
+    c0 = c1 = c2 = c3 = 0
+    tail = primes[width:]
+    # (tail rank, p, table) while tables last, then (tail rank, p, (p - 1) / 2)
+    tabled = len(tables) - width
+    tail_tables = [(i, p, table) for i, (p, table) in enumerate(zip(tail, tables[width:]))]
+    tail_pows = [(i, p, (p - 1) >> 1) for i, p in enumerate(tail[tabled:], tabled)]
+    modulus = math.prod(primes)
+    counts = [0] * len(tail)
+    survivors: list[int] = []
+    packed, packed_n = residue, lo
+    prod = math.prod
+    # 0! == 1! == 1: n = 1 changes no residue and is never tested
+    for n in range(max(lo + 1, 2), hi + 1):
+        r0 = r0 * n % p0
+        r1 = r1 * n % p1
+        r2 = r2 * n % p2
+        r3 = r3 * n % p3
+        if t0[r0 >> 3] >> (r0 & 7) & 1:
+            c0 += 1
+        elif t1[r1 >> 3] >> (r1 & 7) & 1:
+            c1 += 1
+        elif t2[r2 >> 3] >> (r2 & 7) & 1:
+            c2 += 1
+        elif t3[r3 >> 3] >> (r3 & 7) & 1:
+            c3 += 1
+        else:
+            # one n behind, as every n is when no table is in front
+            if packed_n == n - 1:
+                packed = packed * n % modulus
             else:
-                # one n behind, as every n is when no table is in front
-                if packed_n == n - 1:
-                    packed = packed * n % modulus
-                else:
-                    packed = packed * prod(range(packed_n + 1, n + 1)) % modulus
-                packed_n = n
-                for i, p, table in tail_tables:
-                    r = packed % p
-                    if table[r >> 3] >> (r & 7) & 1:
+                packed = packed * prod(range(packed_n + 1, n + 1)) % modulus
+            packed_n = n
+            for i, p, table in tail_tables:
+                r = packed % p
+                if table[r >> 3] >> (r & 7) & 1:
+                    counts[i] += 1
+                    break
+            else:
+                for i, p, half in tail_pows:
+                    if pow(packed % p + 1, half, p) == p - 1:
                         counts[i] += 1
                         break
                 else:
-                    for i, p, half in tail_pows:
-                        if pow(packed % p + 1, half, p) == p - 1:
-                            counts[i] += 1
-                            break
-                    else:
-                        survivors.append(n)
-        self.n = max(self.n, hi)
-        self._residues = [r0, r1, r2, r3]
-        self._packed = packed * prod(range(packed_n + 1, self.n + 1)) % modulus
-        # a padded slot never rejects, so its count stays 0
-        return survivors, self._packed, {p: c for p, c in zip(
-            self._moduli + list(self._tail_primes), [c0, c1, c2, c3] + counts) if c}
+                    survivors.append(n)
+    packed = packed * prod(range(packed_n + 1, hi + 1)) % modulus
+    # a padded slot never rejects, so its count stays 0
+    return survivors, packed, {p: c for p, c in zip(
+        moduli + list(tail), [c0, c1, c2, c3] + counts) if c}

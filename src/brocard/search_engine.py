@@ -1,7 +1,7 @@
 """Resumable filtered scan for solutions of n! + 1 = m**2.
 
 The scan advances a factorial residue stream over a fixed prime pool and
-applies the quadratic-residue filter (`qr_filter.ResidueFilter`) at every
+applies the quadratic-residue filter (`qr_filter.scan_piece`) at every
 n. Each survivor is settled by one `conditions.verify` call: a further
 prime above n that rejects it (a Legendre certificate, reported with the
 survivor), else an exact verdict; a survivor with neither, beyond the
@@ -15,10 +15,10 @@ A long range is cut into shards, one per available core. The calling
 process builds the kernel's nonresidue tables, then runs the first shard
 itself and forks a child for each later one, which inherits the tables.
 Each child seeds the stream at its start from n alone (`seed_state`),
-filters, and sends back over a pipe the record `ResidueFilter.scan_to`
-returns for each piece of its range. The calling process settles every
-survivor, delivers every event and writes every checkpoint, in
-ascending n, exactly as a one-process run would.
+filters, and sends back over a pipe the record `scan_piece` returns for
+each piece of its range, the only state one piece hands the next. The
+calling process settles every survivor, delivers every event and writes
+every checkpoint, in ascending n, exactly as a one-process run would.
 
 Determinism is a hard requirement: for a fixed pool, the reported
 stream, all counters and every checkpoint are identical whether the scan
@@ -46,7 +46,7 @@ from .factorial_engine import (
     build_prime_pool,
     seed_state,
 )
-from .qr_filter import ResidueFilter, nonresidue_bits, table_ranks
+from .qr_filter import nonresidue_bits, scan_piece, table_ranks
 
 DEFAULT_POOL_SIZE = 48
 # Every scan settles its survivors at each multiple of this n and where
@@ -235,14 +235,8 @@ def run(config: SearchConfig, on_event: EventCallback = _drop_event) -> SearchSu
 
     started = time.perf_counter()
     pool = build_prime_pool(config.max_n, config.pool_size)
-    resumed_from: int | None = None
-    if config.resume:
-        state = load_checkpoint(config.checkpoint_path, pool)
-        resumed_from = state.n
-    else:
-        state = seed_state(pool, 0)
-
-    start = state.n
+    start, residue = (load_checkpoint(config.checkpoint_path, pool) if config.resume
+                      else seed_state(pool, 0))
     stop = config.max_n if config.stop_n is None else min(config.stop_n, config.max_n)
 
     solutions: list[tuple[int, int]] = []
@@ -290,9 +284,8 @@ def run(config: SearchConfig, on_event: EventCallback = _drop_event) -> SearchSu
     try:
         for lo, hi in zip(bounds[1:], bounds[2:]):
             children.append(_fork_shard(pool, tables, lo, hi))
-        kernel = ResidueFilter(pool, state, tables)
-        for hi in _segment_ends(start, bounds[1]):
-            end_piece(hi, *kernel.scan_to(hi))
+        for hi, record in _scan_pieces(pool, tables, start, residue, bounds[1]):
+            end_piece(hi, *record)
         for child in children:
             for hi in _segment_ends(child.lo, child.hi):
                 end_piece(hi, *child.receive())
@@ -303,7 +296,7 @@ def run(config: SearchConfig, on_event: EventCallback = _drop_event) -> SearchSu
 
     return SearchSummary(
         scanned_range=(max(2, start + 1), stop),
-        resumed_from=resumed_from,
+        resumed_from=start if config.resume else None,
         completed=stop == config.max_n,
         solutions=solutions,
         survivors=survivors,
@@ -361,6 +354,16 @@ def _segment_ends(lo: int, hi: int) -> Iterator[int]:
         yield lo
 
 
+def _scan_pieces(pool: PrimePool, tables: list[bytes], lo: int, residue: int,
+                 hi: int) -> Iterator[tuple[int, tuple[list[int], int, dict[int, int]]]]:
+    """(end, record) for each piece of lo + 1 .. hi from `residue` = lo!
+    mod the pool product, each from the end and residue of the last."""
+    for end in _segment_ends(lo, hi):
+        record = scan_piece(pool, tables, lo, residue, end)
+        yield end, record
+        lo, residue = end, record[1]
+
+
 def _send(pipe: BinaryIO, record: object) -> None:
     marshal.dump(record, pipe)
     pipe.flush()
@@ -396,9 +399,9 @@ def _scan_shard(pool: PrimePool, tables: list[bytes], lo: int, hi: int,
         os.close(parent_fd)
         with open(write_fd, "wb") as pipe:
             try:
-                kernel = ResidueFilter(pool, seed_state(pool, lo), tables)
-                for end in _segment_ends(lo, hi):
-                    _send(pipe, kernel.scan_to(end))
+                residue = seed_state(pool, lo).residue
+                for _, record in _scan_pieces(pool, tables, lo, residue, hi):
+                    _send(pipe, record)
                 code = 0
             except Exception as exc:
                 _send(pipe, " ".join(f"{type(exc).__name__}: {exc}".split()))

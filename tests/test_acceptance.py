@@ -17,7 +17,7 @@ from brocard.epsilon_lab import FactorialRoot, check_f_monotone, epsilon_digits,
 from brocard.exact_arith import decimal_str, isqrt, legendre
 from brocard.factorial_engine import build_prime_pool, seed_state
 from brocard.poly_system import LatticePoint, eval_system, solve_window
-from brocard.qr_filter import ResidueFilter, nonresidue_bits, passes, table_ranks
+from brocard.qr_filter import nonresidue_bits, passes, scan_piece, table_ranks
 from brocard.cli_reporting import ReportWriter, dispatch
 from brocard.search_engine import SearchConfig, run
 
@@ -161,8 +161,9 @@ def test_criterion_7_filter_soundness_to_2000():
     pool = build_prime_pool(2000, 48)
     # the scan's kernel over the whole range, as `search` runs it
     front = pool.primes[:table_ranks(pool.primes, 2000)]
-    kernel = ResidueFilter(pool, seed_state(pool, 0), [nonresidue_bits(p) for p in front])
-    kernel_survivors, _, kernel_rejections = kernel.scan_to(2000)
+    tables = [nonresidue_bits(p) for p in front]
+    kernel_survivors, _, kernel_rejections = scan_piece(pool, tables, 0,
+                                                        seed_state(pool, 0).residue, 2000)
     # reference: `passes` at every n on the residue stream seeded from n
     wrong_rejections = []
     solution_symbols_ok = True

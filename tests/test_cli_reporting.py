@@ -491,19 +491,37 @@ def test_checkpoint_mismatch_exits_3(tmp_path, capsys):
     ck = str(tmp_path / "scan.ck")
     pool = build_prime_pool(100, 4)
     save_checkpoint(seed_state(pool, 0), pool, ck)
+    report = tmp_path / "r.jsonl"
+    report.write_bytes(b"")
     # same checkpoint, different pool size: mismatch
     assert dispatch(["search", "--max-n", "100", "--primes", "5",
-                     "--checkpoint", ck, "--resume",
-                     "--report", str(tmp_path / "b.jsonl")]) == 3
+                     "--checkpoint", ck, "--resume", "--report", str(report)]) == 3
     # different scan ceiling: also a mismatch
     assert dispatch(["search", "--max-n", "200", "--primes", "4",
-                     "--checkpoint", ck, "--resume",
-                     "--report", str(tmp_path / "c.jsonl")]) == 3
+                     "--checkpoint", ck, "--resume", "--report", str(report)]) == 3
     assert "checkpoint" in capsys.readouterr().err
 
 
 def test_missing_checkpoint_resume_exits_2(tmp_path, capsys):
+    report = tmp_path / "r.jsonl"
+    report.write_bytes(b"")
     assert dispatch(["search", "--max-n", "10", "--checkpoint",
                      str(tmp_path / "none.ck"), "--resume",
-                     "--report", str(tmp_path / "r.jsonl")]) == 2
-    capsys.readouterr()
+                     "--report", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("io: ") and "none.ck" in err
+
+
+def test_resume_into_missing_report_exits_2(tmp_path, capsys, monkeypatch):
+    # the summary would count only the resumed segment, so a resume
+    # refuses a missing report before any scan work and creates no file
+    from brocard.search_engine import SearchConfig, run
+
+    ck, report = str(tmp_path / "scan.ck"), tmp_path / "gone.jsonl"
+    run(SearchConfig(max_n=3000, pool_size=8, checkpoint_path=ck, stop_n=1000))
+    monkeypatch.setattr(cli_reporting, "run", lambda *args, **kwargs: pytest.fail("scanned"))
+    assert dispatch(["search", "--max-n", "3000", "--primes", "8", "--checkpoint", ck,
+                     "--report", str(report), "--resume"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("io: ") and "gone.jsonl" in err
+    assert err.count("\n") == 1 and not report.exists()

@@ -20,7 +20,7 @@ from brocard.factorial_engine import (
     is_factorial,
     seed_state,
 )
-from brocard.qr_filter import ResidueFilter, nonresidue_bits
+from brocard.qr_filter import nonresidue_bits, scan_piece
 
 # ---------------------------------------------------------------------------
 # prime pool
@@ -109,11 +109,10 @@ def test_residue_stream_consistency_to_2000():
     # scan kernel, which caught its residue up behind a tabled front
     pool = build_prime_pool(2000, 8)
     tables = [nonresidue_bits(p) for p in pool.primes[:4]]
-    kernel = ResidueFilter(pool, seed_state(pool, 0), tables)
     modulus = math.prod(pool.primes)
+    residue = seed_state(pool, 0).residue
     for n in range(1, 2001):
-        _, residue, _ = kernel.scan_to(n)
-        assert kernel.n == n
+        _, residue, _ = scan_piece(pool, tables, n - 1, residue, n)
         assert residue == math.factorial(n) % modulus
         # pool primes never divide n!
         assert all(residue % p for p in pool.primes)
@@ -132,9 +131,8 @@ def test_seed_state_matches_exact_and_streamed(size, max_n, data):
         seeded = seed_state(pool, n)
         assert seeded.n == n
         assert seeded.residue == math.factorial(n) % math.prod(pool.primes)
-        kernel = ResidueFilter(pool, seed_state(pool, 0), [])
-        _, residue, _ = kernel.scan_to(n)
-        assert kernel.n == n and residue == seeded.residue
+        _, residue, _ = scan_piece(pool, [], 0, seed_state(pool, 0).residue, n)
+        assert residue == seeded.residue
 
 
 def test_seed_state_refuses_bad_positions():

@@ -15,9 +15,9 @@ from brocard.factorial_engine import (
     primes_above,
 )
 from brocard.qr_filter import (
-    ResidueFilter,
     nonresidue_bits,
     passes,
+    scan_piece,
     table_pays,
     table_ranks,
 )
@@ -27,10 +27,9 @@ def _exact_state(pool, n):
     return FactorialState(n=n, residue=math.factorial(n) % math.prod(pool.primes))
 
 
-def _kernel(pool, state, stop):
-    """The kernel at `state` with the front tables a scan to `stop` builds."""
-    front = pool.primes[:table_ranks(pool.primes, stop - state.n)]
-    return ResidueFilter(pool, state, [nonresidue_bits(p) for p in front])
+def _tables(pool, span):
+    """The front tables a scan of `span` n builds."""
+    return [nonresidue_bits(p) for p in pool.primes[:table_ranks(pool.primes, span)]]
 
 
 def _reference(pool, lo, hi):
@@ -49,12 +48,14 @@ def _reference(pool, lo, hi):
 
 def _kernel_verdicts(pool, start, stop):
     """n -> rejecting prime or None for n = start + 1 .. stop, one n per
-    call, each returning n! mod the pool product."""
-    kernel = _kernel(pool, _exact_state(pool, start), stop)
+    call, each from the residue the call before returned, n! mod the pool
+    product."""
+    tables = _tables(pool, stop - start)
     modulus = math.prod(pool.primes)
+    residue = math.factorial(start) % modulus
     verdicts = {}
     for n in range(start + 1, stop + 1):
-        survived, residue, counts = kernel.scan_to(n)
+        survived, residue, counts = scan_piece(pool, tables, n - 1, residue, n)
         assert residue == math.factorial(n) % modulus
         if n >= 2:
             assert len(survived) + sum(counts.values()) == 1
@@ -230,10 +231,13 @@ def test_table_side_follows_segment_length():
        data=st.data())
 def test_kernel_matches_reference(size, max_n, side, data):
     """The kernel over a segment starting anywhere, cut into several
-    scan_to calls as checkpoints cut it, gives in each call per prime the
-    same rejections and the same survivors as `passes` on exact residues,
+    scan_piece calls as checkpoints cut it, each from the end and residue
+    of the record before, gives in each call per prime the same
+    rejections and the same survivors as `passes` on exact residues,
     which together account for every n the call scanned, and the residue
-    it returns is n! mod the pool product at every cut."""
+    it returns is n! mod the pool product at every cut. A piece run again
+    from its predecessor's record returns the same record: no state
+    passes between calls but the record."""
     pool = build_prime_pool(max_n, size)
     p0 = pool.primes[0]
     start = data.draw(st.integers(0, max_n - 1), label="start")
@@ -246,15 +250,19 @@ def test_kernel_matches_reference(size, max_n, side, data):
     cuts = sorted(set(data.draw(st.lists(st.integers(start + 1, stop), max_size=4),
                                 label="cuts")) | {stop})
 
-    kernel = _kernel(pool, _exact_state(pool, start), stop)
+    tables = _tables(pool, stop - start)
     reference = _reference(pool, start + 1, stop)
-    lo = start
+    lo, residue = start, _exact_state(pool, start).residue
+    pieces = []
     for hi in cuts:
-        survived, residue, counts = kernel.scan_to(hi)
+        record = scan_piece(pool, tables, lo, residue, hi)
+        pieces.append(((lo, residue, hi), record))
+        survived, residue, counts = record
         expected = [reference[n] for n in range(max(lo + 1, 2), hi + 1)]
         assert survived == [n for n in range(max(lo + 1, 2), hi + 1) if reference[n] is None]
         assert counts == dict(Counter(p for p in expected if p is not None))
         assert sum(counts.values()) + len(survived) == len(expected)
         assert residue == math.factorial(hi) % math.prod(pool.primes)
-        assert kernel.n == hi
         lo = hi
+    start_of, record = pieces[data.draw(st.integers(0, len(pieces) - 1), label="again")]
+    assert scan_piece(pool, tables, *start_of) == record

@@ -15,7 +15,7 @@ import pytest
 from brocard import search_engine
 from brocard.cli_reporting import dispatch
 from brocard.factorial_engine import build_prime_pool
-from brocard.qr_filter import ResidueFilter, table_ranks
+from brocard.qr_filter import table_ranks
 from brocard.search_engine import SearchConfig, ShardError, run
 
 _SAVE = search_engine.save_checkpoint
@@ -108,19 +108,19 @@ def test_scan_without_checkpoint_reports_on_the_grid(monkeypatch, shards):
     monkeypatch.setattr(search_engine, "CHECKPOINT_INTERVAL", 100)
     _force_shards(monkeypatch, shards)
     log, saved = [], []
-    scan_to = ResidueFilter.scan_to
+    scan_piece = search_engine.scan_piece
 
-    def logged(self, hi):
-        log.append(("scan_to", hi))
-        return scan_to(self, hi)
+    def logged(pool, tables, lo, residue, hi):
+        log.append(("scan_piece", hi))
+        return scan_piece(pool, tables, lo, residue, hi)
 
-    monkeypatch.setattr(ResidueFilter, "scan_to", logged)
+    monkeypatch.setattr(search_engine, "scan_piece", logged)
     monkeypatch.setattr(search_engine, "save_checkpoint", lambda *args: saved.append(args))
     summary = run(SearchConfig(max_n=3000), on_event=lambda *event: log.append(event[:2]))
     assert summary.solutions == [(4, 5), (5, 11), (7, 71)]
-    past_first = next(i for i, (what, n) in enumerate(log) if what == "scan_to" and n > 100)
+    past_first = next(i for i, (what, n) in enumerate(log) if what == "scan_piece" and n > 100)
     assert {("solution", 4), ("solution", 5), ("solution", 7)} <= set(log[:past_first])
-    assert log[0] == ("scan_to", 100) and saved == []
+    assert log[0] == ("scan_piece", 100) and saved == []
 
 
 def test_shard_count_follows_cores_and_span(monkeypatch):
@@ -238,18 +238,18 @@ def _fail_in_child(monkeypatch, at, how):
     """The kernel raises (or the process kills itself, or hangs) in any
     shard child asked to scan up to `at` or beyond."""
     parent = os.getpid()
-    scan_to = ResidueFilter.scan_to
+    scan_piece = search_engine.scan_piece
 
-    def failing(self, hi):
+    def failing(pool, tables, lo, residue, hi):
         if os.getpid() != parent and hi >= at:
             if how == "kill":
                 os.kill(os.getpid(), signal.SIGKILL)
             if how == "hang":
                 time.sleep(60)
             raise RuntimeError("injected\nfault")
-        return scan_to(self, hi)
+        return scan_piece(pool, tables, lo, residue, hi)
 
-    monkeypatch.setattr(ResidueFilter, "scan_to", failing)
+    monkeypatch.setattr(search_engine, "scan_piece", failing)
 
 
 # The cut of a 3000-n scan into 2 shards, and the end of the segment of
