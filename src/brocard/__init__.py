@@ -62,6 +62,7 @@ _SUBMODULE = {
         "CheckpointError",
         "CheckpointFormatError",
         "CheckpointPoolMismatchError",
+        "CheckpointResidueError",
         "CheckpointVersionError",
         "SearchConfig",
         "SearchSummary",

@@ -7,9 +7,12 @@ The filter is sound by construction: it can only reject non-solutions.
 Each pool prime passes a random non-solution with probability about 1/2,
 so a 48-prime pool leaks a false survivor roughly once in 2**48 trials.
 
-`scan_piece` is the kernel the scan runs, one piece of n at a time.
-`passes` evaluates one stream position symbol by symbol and is kept as
-the reference the tests hold the kernel to.
+`scan_piece` is the kernel the scan runs, one piece of n at a time, up
+from n! or down from the top of the pool, where by Wilson's theorem
+u = (n + 1)...(p - 1) stands for n! == -1 / u and `down_bits` turns each
+table into the one that tests u. `passes` evaluates one stream position
+symbol by symbol and is kept as the reference the tests hold the kernel
+to.
 """
 
 from __future__ import annotations
@@ -137,26 +140,53 @@ def nonresidue_bits(p: int) -> bytes:
     return packed.to_bytes((p + 7) >> 3, "little")
 
 
-def scan_piece(pool: PrimePool, tables: list[bytes], lo: int, residue: int,
-               hi: int) -> tuple[list[int], int, dict[int, int]]:
-    """The scan kernel: filter n = lo + 1 .. hi, for n >= 2, starting from
-    `residue` = lo! mod the product of the whole pool. Returns the piece's
-    record: the n that pass, ascending, hi! mod the pool product, and the
-    piece's rejections as a count per rejecting prime. The record is all
-    the next piece needs, so pieces run from any predecessor's record.
+def down_bits(table: bytes, p: int) -> bytes:
+    """The table of a scan running down, from `nonresidue_bits(p)`.
 
-    tables[i] is `nonresidue_bits` of the prime at pool rank i, for the
-    leading ranks a scan tests by table. Front: the first
-    min(len(tables), _FRONT_WIDTH) of them each carry r = n! mod p,
-    advanced as r = r * n % p and looked up in its table on every n.
-    Behind it the residue R = n! mod the pool product is multiplied up to
-    n only for the n that pass the front (and to hi at the end), then the
-    primes past the front are tested one by one: by r = R mod p and a
-    table lookup while tables last, by Euler's pow after. Primes are
-    tested in pool order, so the rejecting prime counted is the first in
-    pool order, as with `passes`.
+    Down from the top, position n carries u = (n + 1)(n + 2)...(p - 1)
+    mod p, and Wilson's theorem gives n! == -1 / u, so n! + 1 ==
+    (u - 1) / u and (n! + 1 | p) == (u (u - 1) | p). Bit u is set iff
+    that symbol is -1: iff exactly one of u and u - 1 is a nonresidue,
+    which are bits u - 1 and u - 2 of the up table. Bits 0 and 1 (a
+    product of 0) stay clear.
+    """
+    packed = int.from_bytes(table, "little")
+    down = ((packed << 1) ^ (packed << 2)) & ((1 << p) - 1)
+    return down.to_bytes(len(table), "little")
+
+
+def scan_piece(pool: PrimePool, tables: list[bytes], start: int, residue: int,
+               end: int) -> tuple[list[int], int, dict[int, int]]:
+    """The scan kernel: filter the n between `start` and `end`, n >= 2,
+    from `residue`, the stream at `start`, in either direction. Returns
+    the piece's record: the n that pass, ascending, the stream at `end`,
+    and the piece's rejections as a count per rejecting prime. The record
+    is all the next piece needs, so pieces run from any predecessor's
+    record.
+
+    Up (start <= end) the piece is n = start + 1 .. end and the stream at
+    n is n! mod the product of the whole pool. Down (end < start) the
+    piece is n = end + 1 .. start, scanned from start down, and the
+    stream at n is u, the `factorial_engine.top_state` at n, which needs
+    no seed at the top of a scan.
+
+    tables[i] is the table of the prime at pool rank i, `nonresidue_bits`
+    up and `down_bits` down, for the leading ranks a scan tests by table.
+    Front: the first min(len(tables), _FRONT_WIDTH) of them each carry
+    r = the stream mod p, looked up in its table on every n and then
+    advanced by one multiplication: by the next n up, by this n down.
+    Behind it the packed stream R is multiplied to n only for the n that
+    pass the front (and to `end` at the end), then the primes past the
+    front are tested one by one: by r = R mod p and a table lookup while
+    tables last, by Euler's criterion on r + 1 (up) or u (u - 1) (down)
+    after. Primes are tested in pool order, so the rejecting prime counted
+    is the first in pool order, as with `passes`.
     """
     primes = pool.primes
+    down = end < start
+    lo, hi = (end, start) if down else (start, end)
+    # 0! == 1! == 1: n = 1 changes no residue and is never tested
+    first = max(lo + 1, 2)
     width = min(len(tables), _FRONT_WIDTH)
     # A front narrower than the loop is padded with modulus-1 slots that
     # never reject, so the scan loop has one shape.
@@ -164,7 +194,16 @@ def scan_piece(pool: PrimePool, tables: list[bytes], lo: int, residue: int,
     moduli = list(primes[:width]) + [1] * pad
     p0, p1, p2, p3 = moduli
     t0, t1, t2, t3 = list(tables[:width]) + [_NEVER] * pad
-    r0, r1, r2, r3 = [residue % p for p in moduli]
+    perm = math.perm
+    # Each step tests the front, then multiplies it on: up by the next n
+    # (step n tests n - 1), down by the n just tested. So the front starts
+    # at the first n tested, and a down scan from n = p - 1, where u is
+    # the empty product 1, never multiplies by p.
+    if down:
+        front, steps = residue, (hi, first - 1, -1)
+    else:
+        front, steps = residue * perm(first, first - lo), (first + 1, hi + 2)
+    r0, r1, r2, r3 = [front % p for p in moduli]
     c0 = c1 = c2 = c3 = 0
     tail = primes[width:]
     # (tail rank, p, table) while tables last, then (tail rank, p, (p - 1) / 2)
@@ -174,14 +213,8 @@ def scan_piece(pool: PrimePool, tables: list[bytes], lo: int, residue: int,
     modulus = math.prod(primes)
     counts = [0] * len(tail)
     survivors: list[int] = []
-    packed, packed_n = residue, lo
-    prod = math.prod
-    # 0! == 1! == 1: n = 1 changes no residue and is never tested
-    for n in range(max(lo + 1, 2), hi + 1):
-        r0 = r0 * n % p0
-        r1 = r1 * n % p1
-        r2 = r2 * n % p2
-        r3 = r3 * n % p3
+    packed, packed_n = residue, start
+    for n in range(*steps):
         if t0[r0 >> 3] >> (r0 & 7) & 1:
             c0 += 1
         elif t1[r1 >> 3] >> (r1 & 7) & 1:
@@ -191,12 +224,15 @@ def scan_piece(pool: PrimePool, tables: list[bytes], lo: int, residue: int,
         elif t3[r3 >> 3] >> (r3 & 7) & 1:
             c3 += 1
         else:
-            # one n behind, as every n is when no table is in front
-            if packed_n == n - 1:
-                packed = packed * n % modulus
+            # m, the n tested, and the factors between it and the packed
+            # stream's n
+            if down:
+                m = n
+                packed = packed * perm(packed_n, packed_n - m) % modulus
             else:
-                packed = packed * prod(range(packed_n + 1, n + 1)) % modulus
-            packed_n = n
+                m = n - 1
+                packed = packed * perm(m, m - packed_n) % modulus
+            packed_n = m
             for i, p, table in tail_tables:
                 r = packed % p
                 if table[r >> 3] >> (r & 7) & 1:
@@ -204,12 +240,21 @@ def scan_piece(pool: PrimePool, tables: list[bytes], lo: int, residue: int,
                     break
             else:
                 for i, p, half in tail_pows:
-                    if pow(packed % p + 1, half, p) == p - 1:
+                    r = packed % p
+                    if pow(r * (r - 1) if down else r + 1, half, p) == p - 1:
                         counts[i] += 1
                         break
                 else:
-                    survivors.append(n)
-    packed = packed * prod(range(packed_n + 1, hi + 1)) % modulus
+                    survivors.append(m)
+        r0 = r0 * n % p0
+        r1 = r1 * n % p1
+        r2 = r2 * n % p2
+        r3 = r3 * n % p3
+    if down:
+        survivors.reverse()
+        packed = packed * perm(packed_n, packed_n - lo) % modulus
+    else:
+        packed = packed * perm(hi, hi - packed_n) % modulus
     # a padded slot never rejects, so its count stays 0
     return survivors, packed, {p: c for p, c in zip(
         moduli + list(tail), [c0, c1, c2, c3] + counts) if c}

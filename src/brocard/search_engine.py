@@ -13,12 +13,20 @@ scan can be killed and resumed without rework.
 
 A long range is cut into shards, one per available core. The calling
 process builds the kernel's nonresidue tables, then runs the first shard
-itself and forks a child for each later one, which inherits the tables.
-Each child seeds the stream at its start from n alone (`seed_state`),
-filters, and sends back over a pipe the record `scan_piece` returns for
-each piece of its range, the only state one piece hands the next. The
-calling process settles every survivor, delivers every event and writes
-every checkpoint, in ascending n, exactly as a one-process run would.
+itself, up from the scan's start, and forks a child for each later one,
+which inherits the tables. The last child scans down from the scan's
+stop: it derives the down tables (`qr_filter.down_bits`) and starts from
+the top of the pool by Wilson's theorem (`top_state`), so it needs no
+seed; with two shards no process seeds. Each interior child (three or
+more shards) seeds the stream at its start from n alone (`seed_state`)
+and scans up. A child sends back over a pipe one record per piece of its
+range, in the order it scans them: the survivors, n! mod the pool product
+at the piece's top and the rejection counts. The calling process settles
+every survivor, delivers every event and writes every checkpoint, in
+ascending n, exactly as a one-process run would; it takes the down
+child's pieces once all of them are in. While children run, SIGTERM
+raises SystemExit in the calling process, so they are killed and reaped
+on the way out.
 
 Determinism is a hard requirement: for a fixed pool, the reported
 stream, all counters and every checkpoint are identical whether the scan
@@ -29,7 +37,6 @@ pool order is the one recorded.
 from __future__ import annotations
 
 import marshal
-import math
 import os
 import re
 import threading
@@ -44,9 +51,12 @@ from .factorial_engine import (
     FactorialState,
     PrimePool,
     build_prime_pool,
+    crt,
     seed_state,
+    top_state,
+    wilson_flip,
 )
-from .qr_filter import nonresidue_bits, scan_piece, table_ranks
+from .qr_filter import down_bits, nonresidue_bits, scan_piece, table_ranks
 
 DEFAULT_POOL_SIZE = 48
 # Every scan settles its survivors at each multiple of this n and where
@@ -54,13 +64,14 @@ DEFAULT_POOL_SIZE = 48
 CHECKPOINT_INTERVAL = 100_000
 
 # A range is sharded only where each shard gets at least this many n: a
-# shard pays a fork and a seed.
+# shard pays a fork and the start of its stream.
 _MIN_SHARD_SPAN = 1 << 17
 # Seeding the stream at n from n alone costs about this share of scanning
-# as many n: 200-230 ns per n seeded against 930-1160 ns per n scanned
-# with the 48-prime pool and its 8 tables near n = 5 * 10**5 (medians of
-# five, three runs, 2-core x86-64 VM, CPython 3.11).
-_SEED_COST = 0.21
+# as many n, and so does each factor of a start from the top of the pool:
+# 169-180 ns per n seeded against 770-1030 ns per n scanned with the
+# 48-prime pool and its 8 tables near n = 5 * 10**5 (medians of five,
+# three runs, 2-core x86-64 VM, CPython 3.11).
+_SEED_COST = 0.18
 
 _CHECKPOINT_MAGIC = b"BROCARD-CHECKPOINT v1"
 _CRC_RE = re.compile(rb"crc32=([0-9a-f]{8})\n")
@@ -87,6 +98,10 @@ class CheckpointPoolMismatchError(CheckpointError):
 
 class CheckpointFormatError(CheckpointError):
     """Checksum holds but a field is structurally invalid."""
+
+
+class CheckpointResidueError(CheckpointError):
+    """Checksum and fields hold but the residues are not n! mod the primes."""
 
 
 class ShardError(Exception):
@@ -148,7 +163,9 @@ def load_checkpoint(path: str, pool: PrimePool) -> FactorialState:
     """Parse and validate a checkpoint against the pool it must match.
 
     Validation order: version marker first, then checksum over the whole
-    body, then field structure, then pool identity. Each failure mode
+    body, then field structure, then pool identity, then the residues
+    themselves, re-derived from n (`seed_state`) or from the top of the
+    pool (`top_state`), whichever takes fewer factors. Each failure mode
     raises its own CheckpointError subclass.
     """
     with open(path, "rb") as fh:
@@ -202,17 +219,12 @@ def load_checkpoint(path: str, pool: PrimePool) -> FactorialState:
         if not 1 <= r < p:
             raise CheckpointFormatError(f"{path}: residue {r} out of range for prime {p}")
         residues.append(r)
-    return FactorialState(n=fields["n"], residue=_crt(residues, pool.primes))
-
-
-def _crt(residues: list[int], primes: tuple[int, ...]) -> int:
-    """The x mod the product of `primes` with x = r mod p for each pair."""
-    modulus = math.prod(primes)
-    x = 0
-    for r, p in zip(residues, primes):
-        m = modulus // p
-        x += r * m * pow(m, -1, p)
-    return x % modulus
+    n, residue = fields["n"], crt(residues, pool.primes)
+    # a wrong residue could make the filter reject a solution
+    if residue != (seed_state(pool, n).residue if n <= pool.primes[-1] - n
+                   else wilson_flip(pool, top_state(pool, n))):
+        raise CheckpointResidueError(f"{path}: the residues are not {n}! mod the pool primes")
+    return FactorialState(n=n, residue=residue)
 
 
 # ---------------------------------------------------------------------------
@@ -279,20 +291,27 @@ def run(config: SearchConfig, on_event: EventCallback = _drop_event) -> SearchSu
                             config.checkpoint_path)
 
     tables = [nonresidue_bits(p) for p in pool.primes[:table_ranks(pool.primes, stop - start)]]
-    bounds = _shard_bounds(start, stop, _shard_count(stop - start))
+    bounds = _shard_bounds(start, stop, _shard_count(stop - start), pool.primes[-1])
     children: list[_Child] = []
+    restore = None
     try:
-        for lo, hi in zip(bounds[1:], bounds[2:]):
-            children.append(_fork_shard(pool, tables, lo, hi))
+        if len(bounds) > 2:
+            restore = _raise_on_sigterm()
+            # the interior shards scan up from a seed, the last one down from stop
+            for lo, hi in zip(bounds[1:-2], bounds[2:-1]):
+                children.append(_fork_shard(pool, tables, lo, hi))
+            children.append(_fork_shard(pool, tables, stop, bounds[-2]))
         for hi, record in _scan_pieces(pool, tables, start, residue, bounds[1]):
             end_piece(hi, *record)
         for child in children:
-            for hi in _segment_ends(child.lo, child.hi):
-                end_piece(hi, *child.receive())
+            for hi, record in child.pieces():
+                end_piece(hi, *record)
             child.reap()
     finally:
         for child in children:
             child.close()
+        if restore:
+            restore()
 
     return SearchSummary(
         scanned_range=(max(2, start + 1), stop),
@@ -324,19 +343,22 @@ def _shard_count(span: int) -> int:
     return max(1, min(cores, span // _MIN_SHARD_SPAN))
 
 
-def _shard_bounds(start: int, stop: int, count: int) -> list[int]:
+def _shard_bounds(start: int, stop: int, count: int, top: int) -> list[int]:
     """[start, c_1, ..., stop]: shard k scans c_k + 1 .. c_{k+1}.
 
     The cuts may fall anywhere; they balance wall time. The tables are
     built before any shard starts, so they drop out of the balance. Shard
-    0 scans on from `start`, and shard k first seeds its start at
-    _SEED_COST per n, so with keep = 1 - _SEED_COST the targets are
-    c_1 = start + t and c_{k+1} = keep * c_k + t, where t makes the last
-    one stop. A cut that would not fall strictly between its neighbours
-    is dropped, with its shard.
+    0 scans on from `start`. An interior shard k first seeds its start at
+    _SEED_COST per n; the last shard scans down from `stop` after a
+    start that costs as much per factor from stop + 1 to `top`, the last
+    pool prime. So with keep = 1 - _SEED_COST the targets are
+    c_1 = start + t and c_{k+1} = keep * c_k + t, where t gives the last
+    shard the same cost. A cut that would not fall strictly between its
+    neighbours is dropped, with its shard.
     """
     keep = 1 - _SEED_COST
-    t = (stop - start * keep ** (count - 1)) / sum(keep ** j for j in range(count))
+    t = ((stop + _SEED_COST * (top - stop) - start * keep ** (count - 2))
+         / (1 + sum(keep ** j for j in range(count - 1))))
     bounds, target = [start], start + t
     for _ in range(count - 1):
         cut = round(target)
@@ -354,14 +376,25 @@ def _segment_ends(lo: int, hi: int) -> Iterator[int]:
         yield lo
 
 
-def _scan_pieces(pool: PrimePool, tables: list[bytes], lo: int, residue: int,
-                 hi: int) -> Iterator[tuple[int, tuple[list[int], int, dict[int, int]]]]:
-    """(end, record) for each piece of lo + 1 .. hi from `residue` = lo!
-    mod the pool product, each from the end and residue of the last."""
-    for end in _segment_ends(lo, hi):
-        record = scan_piece(pool, tables, lo, residue, end)
-        yield end, record
-        lo, residue = end, record[1]
+def _scan_pieces(pool: PrimePool, tables: list[bytes], start: int, residue: int,
+                 end: int) -> Iterator[tuple[int, tuple[list[int], int, dict[int, int]]]]:
+    """(top, record) for each piece between start and end from `residue`,
+    the stream at start, in scan order: up, each from the end and residue
+    of the last; down (end < start), each from the stream the last
+    returned. Every record holds top! mod the pool product, the residue
+    a checkpoint at its top needs: down, one `wilson_flip` of the stream
+    at top."""
+    if end < start:
+        tops = [*reversed(list(_segment_ends(end, start))), end]
+        for top, bottom in zip(tops, tops[1:]):
+            survivors, residue_at_bottom, counts = scan_piece(pool, tables, top, residue, bottom)
+            yield top, (survivors, wilson_flip(pool, residue), counts)
+            residue = residue_at_bottom
+        return
+    for top in _segment_ends(start, end):
+        record = scan_piece(pool, tables, start, residue, top)
+        yield top, record
+        start, residue = top, record[1]
 
 
 def _send(pipe: BinaryIO, record: object) -> None:
@@ -369,38 +402,46 @@ def _send(pipe: BinaryIO, record: object) -> None:
     pipe.flush()
 
 
-def _fork_shard(pool: PrimePool, tables: list[bytes], lo: int, hi: int) -> "_Child":
-    """Fork a shard child to scan lo + 1 .. hi with `tables`, which it
-    inherits. One pipe carries its records to the parent."""
+def _fork_shard(pool: PrimePool, tables: list[bytes], start: int, end: int) -> "_Child":
+    """Fork a shard child to scan from start to end (down if end < start)
+    with `tables`, which it inherits. One pipe carries its records to the
+    parent."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
         if pid == 0:
-            _scan_shard(pool, tables, lo, hi, read_fd, write_fd)
+            _scan_shard(pool, tables, start, end, read_fd, write_fd)
     except BaseException:
         os.close(read_fd)
         raise
     finally:
         os.close(write_fd)
-    return _Child(pid, open(read_fd, "rb"), lo, hi)
+    return _Child(pid, open(read_fd, "rb"), start, end)
 
 
-def _scan_shard(pool: PrimePool, tables: list[bytes], lo: int, hi: int,
+def _scan_shard(pool: PrimePool, tables: list[bytes], start: int, end: int,
                 parent_fd: int, write_fd: int) -> NoReturn:
-    """Body of a shard child: scan lo + 1 .. hi from a seeded stream.
+    """Body of a shard child: scan from start to end. Up, it seeds the
+    stream at start from n alone; down, it takes the stream at start from
+    the top of the pool and derives the down tables.
 
-    Sends one marshal record per piece, (survivors, residue at its end,
-    rejection counts), or a one-line error message, into write_fd. Ends
-    with os._exit, so it never returns or raises into the caller's stack
-    and never flushes stdio buffers inherited from the parent.
+    Sends one marshal record per piece in scan order, (survivors, residue
+    at its top, rejection counts), or a one-line error message, into
+    write_fd. Ends with os._exit, so it never returns or raises into the
+    caller's stack and never flushes stdio buffers inherited from the
+    parent.
     """
     code = 1
     try:
         os.close(parent_fd)
         with open(write_fd, "wb") as pipe:
             try:
-                residue = seed_state(pool, lo).residue
-                for _, record in _scan_pieces(pool, tables, lo, residue, hi):
+                if end < start:
+                    residue = top_state(pool, start)
+                    tables = [down_bits(table, p) for table, p in zip(tables, pool.primes)]
+                else:
+                    residue = seed_state(pool, start).residue
+                for _, record in _scan_pieces(pool, tables, start, residue, end):
                     _send(pipe, record)
                 code = 0
             except Exception as exc:
@@ -409,14 +450,34 @@ def _scan_shard(pool: PrimePool, tables: list[bytes], lo: int, hi: int,
         os._exit(code)
 
 
+def _raise_on_sigterm() -> "Callable[[], None] | None":
+    """Make SIGTERM raise SystemExit, so that `run` kills and reaps its
+    children on the way out instead of leaving them scanning; returns
+    what undoes it. Only the default action is replaced: it would end the
+    process without running `run`'s cleanup."""
+    import signal  # not at the top: only a sharded run needs it
+
+    if signal.getsignal(signal.SIGTERM) != signal.SIG_DFL:
+        return None
+
+    def terminate(signum: int, frame: object) -> NoReturn:
+        # a second SIGTERM must not cut the cleanup short
+        signal.signal(signum, signal.SIG_IGN)
+        raise SystemExit(128 + signum)
+
+    signal.signal(signal.SIGTERM, terminate)
+    return lambda: signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
 class _Child:
     """A shard child as its parent sees it: pid and the read end of the
     pipe its records come on."""
 
-    def __init__(self, pid: int, pipe: BinaryIO, lo: int, hi: int) -> None:
+    def __init__(self, pid: int, pipe: BinaryIO, start: int, end: int) -> None:
         self.pid: int | None = pid
         self.pipe = pipe
-        self.lo, self.hi = lo, hi
+        self.lo, self.hi = sorted((start, end))
+        self.down = end < start
 
     def _fail(self, reason: str) -> NoReturn:
         raise ShardError(f"scan shard n={self.lo + 1}..{self.hi}: {reason}")
@@ -432,6 +493,15 @@ class _Child:
         if isinstance(record, str):
             self._fail(record)
         return record
+
+    def pieces(self) -> Iterator[tuple[int, "tuple[list[int], int, dict[int, int]]"]]:
+        """(top, record) for each piece of the child's range, ascending.
+        A down child's records come top first, so all of them are read
+        before the first is yielded."""
+        tops = list(_segment_ends(self.lo, self.hi))
+        if self.down:
+            return zip(tops, reversed([self.receive() for _ in tops]))
+        return ((top, self.receive()) for top in tops)
 
     def reap(self) -> int:
         _, status = os.waitpid(self.pid, 0)

@@ -502,6 +502,30 @@ def test_checkpoint_mismatch_exits_3(tmp_path, capsys):
     assert "checkpoint" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("stop_n", [1000, 2900], ids=["seed side", "top side"])
+def test_checkpoint_with_a_wrong_residue_exits_3(tmp_path, capsys, stop_n):
+    # one residue changed and the CRC recomputed: the checksum holds, but
+    # the load re-derives n! mod the pool, from n (n = 1000) or from the
+    # top of the pool (n = 2900), and refuses before any scan work
+    import zlib
+
+    from brocard.search_engine import SearchConfig, run
+
+    ck, report = tmp_path / "scan.ck", tmp_path / "r.jsonl"
+    run(SearchConfig(max_n=3000, pool_size=8, checkpoint_path=str(ck), stop_n=stop_n))
+    report.write_bytes(b"")
+    lines = ck.read_bytes().split(b"\n")
+    p, r = map(int, lines[7].split(b","))
+    lines[7] = b"%d,%d" % (p, r % (p - 1) + 1)
+    body = b"\n".join(lines[:-2]) + b"\n"
+    ck.write_bytes(body + b"crc32=%08x\n" % zlib.crc32(body))
+    assert dispatch(["search", "--max-n", "3000", "--primes", "8", "--checkpoint", str(ck),
+                     "--report", str(report), "--resume"]) == 3
+    err = capsys.readouterr().err
+    assert err == f"checkpoint: {ck}: the residues are not {stop_n}! mod the pool primes\n"
+    assert report.read_bytes() == b""
+
+
 def test_missing_checkpoint_resume_exits_2(tmp_path, capsys):
     report = tmp_path / "r.jsonl"
     report.write_bytes(b"")

@@ -19,6 +19,8 @@ from brocard.factorial_engine import (
     factorial_exact,
     is_factorial,
     seed_state,
+    top_state,
+    wilson_flip,
 )
 from brocard.qr_filter import nonresidue_bits, scan_piece
 
@@ -141,6 +143,34 @@ def test_seed_state_refuses_bad_positions():
         seed_state(pool, 51)
     with pytest.raises(ValueError):
         seed_state(pool, -1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(size=st.sampled_from([1, 2, 3, 48]), max_n=st.integers(0, 3000), data=st.data())
+def test_top_state_is_wilsons_cofactor(size, max_n, data):
+    # u = (n + 1)...(p - 1) mod p per pool prime, so n! * u == -1 (mod p)
+    # and wilson_flip turns u into n! mod the pool product and back; at
+    # n = p - 1 the product is empty. Checked at 0, max_n, across block
+    # and prime edges, and at a drawn n.
+    pool = build_prime_pool(max_n, size)
+    modulus = math.prod(pool.primes)
+    points = {0, max_n, max(0, max_n - 33), pool.primes[0] - 1, data.draw(st.integers(0, max_n))}
+    for n in (n for n in points if n <= max_n):
+        u = top_state(pool, n)
+        for p in pool.primes:
+            assert u % p == math.prod(range(n + 1, p)) % p
+            assert math.factorial(n) * u % p == p - 1
+        assert wilson_flip(pool, u) == math.factorial(n) % modulus
+        assert wilson_flip(pool, wilson_flip(pool, u)) == u
+    assert wilson_flip(pool, top_state(pool, max_n)) == seed_state(pool, max_n).residue
+
+
+def test_top_state_refuses_bad_positions():
+    pool = build_prime_pool(50, 3)
+    with pytest.raises(CeilingError):
+        top_state(pool, 51)
+    with pytest.raises(ValueError):
+        top_state(pool, -1)
 
 
 # ---------------------------------------------------------------------------

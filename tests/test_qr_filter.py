@@ -13,8 +13,11 @@ from brocard.factorial_engine import (
     FactorialState,
     build_prime_pool,
     primes_above,
+    top_state,
+    wilson_flip,
 )
 from brocard.qr_filter import (
+    down_bits,
     nonresidue_bits,
     passes,
     scan_piece,
@@ -185,6 +188,31 @@ def test_nonresidue_bits_match_squares_at_pool_primes(p):
     assert nonresidue_bits(p) == _squares_reference(p)
 
 
+def _euler_down(p, u):
+    """Bit u of the down table of p by Euler's criterion: (u (u - 1) | p)."""
+    return pow(u * (u - 1), (p - 1) >> 1, p) == p - 1
+
+
+def test_down_bits_match_euler_below_5000():
+    # every odd prime p < 5000, every u < p
+    for p in (p for p in range(3, 5000, 2) if is_prime_64(p)):
+        table = down_bits(nonresidue_bits(p), p)
+        assert len(table) == (p + 7) >> 3
+        assert [table[u >> 3] >> (u & 7) & 1 for u in range(p)] == [
+            _euler_down(p, u) for u in range(p)], p
+        # no bit at or past p
+        assert int.from_bytes(table, "little") >> p == 0
+
+
+@pytest.mark.parametrize("p", [1_000_003, 1_000_033])
+def test_down_bits_match_euler_at_pool_primes(p):
+    # both ends of the table and a stride through it
+    table = down_bits(nonresidue_bits(p), p)
+    assert int.from_bytes(table, "little") >> p == 0
+    for u in [*range(5000), *range(p - 5000, p), *range(5000, p - 5000, 997)]:
+        assert table[u >> 3] >> (u & 7) & 1 == _euler_down(p, u), u
+
+
 @settings(max_examples=12, deadline=None)
 @given(bits=st.integers(2, 24), offset=st.integers(0, 2**23),
        picks=st.lists(st.integers(0, 2**24), max_size=64))
@@ -266,3 +294,30 @@ def test_kernel_matches_reference(size, max_n, side, data):
         lo = hi
     start_of, record = pieces[data.draw(st.integers(0, len(pieces) - 1), label="again")]
     assert scan_piece(pool, tables, *start_of) == record
+
+
+@settings(max_examples=80, deadline=None)
+@given(size=st.sampled_from([1, 2, 3, 48]), max_n=st.integers(1, 3000),
+       ranks=st.integers(0, 8), data=st.data())
+@example(size=2, max_n=3000, ranks=2, data=None)  # 3001 is prime: hi = p - 1
+@example(size=48, max_n=1008, ranks=8, data=None)  # 1008! == -1 (mod 1009)
+def test_down_pieces_match_up_pieces(size, max_n, ranks, data):
+    """A piece scanned down from the top_state at hi, with down tables,
+    returns the survivors and counts of the same piece scanned up from
+    lo!, and the stream at lo, which wilson_flip turns into lo!."""
+    pool = build_prime_pool(max_n, size)
+    if data is None:
+        lo, hi = 0, max_n
+    else:
+        lo = data.draw(st.integers(0, max_n - 1), label="lo")
+        hi = data.draw(st.integers(lo + 1, max_n), label="hi")
+    up = [nonresidue_bits(p) for p in pool.primes[:ranks]]
+    down = [down_bits(table, p) for table, p in zip(up, pool.primes)]
+    modulus = math.prod(pool.primes)
+    survivors, residue, counts = scan_piece(pool, up, lo, math.factorial(lo) % modulus, hi)
+    u = top_state(pool, hi)
+    assert wilson_flip(pool, u) == residue
+    down_survivors, u_lo, down_counts = scan_piece(pool, down, hi, u, lo)
+    assert (down_survivors, down_counts) == (survivors, counts)
+    assert u_lo == top_state(pool, lo)
+    assert wilson_flip(pool, u_lo) == math.factorial(lo) % modulus

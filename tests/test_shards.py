@@ -123,6 +123,29 @@ def test_scan_without_checkpoint_reports_on_the_grid(monkeypatch, shards):
     assert log[0] == ("scan_piece", 100) and saved == []
 
 
+@pytest.mark.parametrize("size", [1, 48])
+def test_two_shards_seed_nothing(tmp_path, monkeypatch, size):
+    # shard 0 scans on from 0!, the child down from the top of the pool:
+    # neither seeds the stream from n, and the bytes are a one-process
+    # scan's, run to max_n (3001 is prime, so the child's first n is
+    # p - 1 for the first pool prime) and stopped short of it
+    monkeypatch.setattr(search_engine, "CHECKPOINT_INTERVAL", 97)
+    seed_state = search_engine.seed_state
+
+    def seed_only_zero(pool, n):
+        if n:
+            raise AssertionError(f"seeded n={n}")
+        return seed_state(pool, n)
+
+    for stop_n in (None, 2345):
+        config = SearchConfig(max_n=3000, pool_size=size, stop_n=stop_n,
+                              checkpoint_path=str(tmp_path / "scan.ck"))
+        one = _scan(monkeypatch, config, 1)
+        with monkeypatch.context() as m:
+            m.setattr(search_engine, "seed_state", seed_only_zero)
+            assert _scan(monkeypatch, config, 2) == one
+
+
 def test_shard_count_follows_cores_and_span(monkeypatch):
     monkeypatch.setattr(search_engine.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     span = search_engine._MIN_SHARD_SPAN
@@ -146,25 +169,33 @@ def test_shard_count_follows_cores_and_span(monkeypatch):
 
 
 def test_shard_bounds_balance_seeding_off_the_grid():
-    keep = 1 - search_engine._SEED_COST
-    for start, stop, count in [(0, 1_000_123, 2), (250, 10_000, 4), (40_000, 700_000, 3)]:
-        bounds = search_engine._shard_bounds(start, stop, count)
+    seed = search_engine._SEED_COST
+    for start, stop, count, top in [(0, 1_000_123, 2, 1_000_737), (250, 10_000, 4, 10_103),
+                                    (40_000, 700_000, 3, 700_001), (0, 1_000_123, 4, 1_000_737),
+                                    (990_000, 1_000_123, 2, 1_000_737), (0, 600_000, 2, 1_000_737)]:
+        bounds = search_engine._shard_bounds(start, stop, count, top)
         assert bounds[0] == start and bounds[-1] == stop and len(bounds) == count + 1
         assert bounds == sorted(set(bounds))
-        # shard k > 0 seeds its start, then scans: every shard costs what
-        # shard 0 does, up to rounding
-        costs = [hi - lo + (1 - keep) * lo * (k > 0)
+        # shard 0 scans on from start, an interior shard seeds its start
+        # from n alone, and the last shard scans down from stop after a
+        # start whose factors run from stop + 1 to top: every shard costs
+        # what shard 0 does, up to rounding
+        costs = [hi - lo + seed * (top - stop if k == count - 1 else lo * (k > 0))
                  for k, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
         assert max(costs) - min(costs) < 2
-        # so later shards get fewer n
+        # the interior shards get fewer n the later they start; the last
+        # one seeds nothing, so it is no longer the smallest
         sizes = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
-        assert sizes == sorted(sizes, reverse=True)
-    # the 10**6 scan is cut where the balance falls, not on the 10**5 grid
-    assert search_engine._shard_bounds(0, 1_000_123, 2)[1] % 100_000 != 0
+        assert sizes[:-1] == sorted(sizes[:-1], reverse=True)
+        assert sizes[-1] > min(sizes) or count == 2
+    # with 2 shards the 10**6 scan is cut near its middle, where the
+    # balance falls, not on the 10**5 grid
+    cut = search_engine._shard_bounds(0, 1_000_123, 2, 1_000_737)[1]
+    assert abs(cut - 1_000_123 / 2) < 100 and cut % 100_000 != 0
     # a span too short for every shard keeps the cuts that fall strictly
     # inside it
-    assert search_engine._shard_bounds(0, 2, 4) == [0, 1, 2]
-    assert search_engine._shard_bounds(7, 7, 3) == [7, 7]
+    assert search_engine._shard_bounds(0, 2, 4, 2) == [0, 1, 2]
+    assert search_engine._shard_bounds(7, 7, 3, 11) == [7, 7]
 
 
 def _checkpoint_positions(log):
@@ -182,8 +213,9 @@ def test_checkpoints_only_on_the_grid_or_at_stop(tmp_path, monkeypatch, stop_n, 
     monkeypatch.setattr(search_engine, "CHECKPOINT_INTERVAL", 100)
     config = SearchConfig(max_n=3000, pool_size=3, checkpoint_path=str(tmp_path / "scan.ck"),
                           stop_n=stop_n)
+    top = build_prime_pool(3000, 3).primes[-1]
     for shards in (2, 4):
-        cuts = search_engine._shard_bounds(0, stop_n or 3000, shards)[1:-1]
+        cuts = search_engine._shard_bounds(0, stop_n or 3000, shards, top)[1:-1]
         assert len(cuts) == shards - 1 and all(cut % 100 for cut in cuts)
         _, log = _scan(monkeypatch, config, shards)
         assert _checkpoint_positions(log) == written
@@ -236,33 +268,32 @@ def test_cli_report_and_checkpoint_bytes_match_one_process(tmp_path, monkeypatch
 
 def _fail_in_child(monkeypatch, at, how):
     """The kernel raises (or the process kills itself, or hangs) in any
-    shard child asked to scan up to `at` or beyond."""
+    shard child asked to scan a piece that holds an n below `at`."""
     parent = os.getpid()
     scan_piece = search_engine.scan_piece
 
-    def failing(pool, tables, lo, residue, hi):
-        if os.getpid() != parent and hi >= at:
+    def failing(pool, tables, start, residue, end):
+        if os.getpid() != parent and min(start, end) + 1 < at:
             if how == "kill":
                 os.kill(os.getpid(), signal.SIGKILL)
             if how == "hang":
                 time.sleep(60)
             raise RuntimeError("injected\nfault")
-        return scan_piece(pool, tables, lo, residue, hi)
+        return scan_piece(pool, tables, start, residue, end)
 
     monkeypatch.setattr(search_engine, "scan_piece", failing)
 
 
-# The cut of a 3000-n scan into 2 shards, and the end of the segment of
-# the 100-n checkpoint grid that it splits: the child's first piece.
-_CUT = search_engine._shard_bounds(0, 3000, 2)[1]
+# The cut of a 3000-n scan over 2 pool primes into 2 shards, and the end
+# of the segment of the 100-n checkpoint grid that it splits: the last
+# piece of the child, which scans down from 3000.
+_CUT = search_engine._shard_bounds(0, 3000, 2, build_prime_pool(3000, 2).primes[-1])[1]
 _SPLIT_END = _CUT // 100 * 100 + 100
 
 
 @pytest.mark.parametrize("how", ["raise", "kill"])
-@pytest.mark.parametrize("at,last_checkpoint", [(_SPLIT_END + 300, _SPLIT_END + 200),
-                                                (_SPLIT_END, _SPLIT_END - 100)])
-def test_failed_child_stops_at_last_finished_segment(tmp_path, monkeypatch, how, at,
-                                                     last_checkpoint):
+@pytest.mark.parametrize("at", [3000, _SPLIT_END], ids=["first piece", "last piece"])
+def test_failed_child_stops_at_last_finished_segment(tmp_path, monkeypatch, how, at):
     ck = str(tmp_path / "scan.ck")
     monkeypatch.setattr(search_engine, "CHECKPOINT_INTERVAL", 100)
     config = SearchConfig(max_n=3000, pool_size=2, checkpoint_path=ck)
@@ -278,11 +309,13 @@ def test_failed_child_stops_at_last_finished_segment(tmp_path, monkeypatch, how,
         "kill": "killed by signal 9 before sending its result",
     }[how]
     _assert_reaped(pids)
-    # Failing at a later segment, the child had finished the one before.
-    # Failing at its first piece, it had not finished the second half of
-    # the segment that the cut splits, so nothing of that segment is out,
-    # not even what shard 0 found in its first half. Either way the output
-    # is everything up to the last checkpoint, once, and nothing past it.
+    # The child scans down, so its range comes out only once its last
+    # piece, the one at the cut, is in: whether it fails at its first
+    # piece or its last, nothing of its range is out, nor what shard 0
+    # found in the first half of the segment the cut splits. Either way
+    # the output is everything up to shard 0's last finished segment,
+    # once, and nothing past it.
+    last_checkpoint = _CUT // 100 * 100
     checkpoints = [entry for entry in clean if isinstance(entry, bytes)]
     assert _checkpoint_positions(log)[-1] == last_checkpoint
     assert log == clean[:clean.index(checkpoints[last_checkpoint // 100 - 1]) + 1]
@@ -297,7 +330,7 @@ def test_cli_exits_2_on_a_failed_child_and_resumes_exactly(tmp_path, monkeypatch
     _force_shards(monkeypatch, 2)
     report, ck = tmp_path / "report.jsonl", str(tmp_path / "scan.ck")
     with monkeypatch.context() as m:
-        _fail_in_child(m, 1500, "raise")
+        _fail_in_child(m, 3000, "raise")
         code = _cli_search("--checkpoint", ck, "--report", str(report))
     assert code == 2
     err = capsys.readouterr().err
@@ -315,7 +348,7 @@ def test_interrupt_in_parent_kills_and_reaps_children(tmp_path, monkeypatch):
     monkeypatch.setattr(search_engine, "CHECKPOINT_INTERVAL", 100)
     _force_shards(monkeypatch, 4)
     _, pids = _record(monkeypatch)
-    _fail_in_child(monkeypatch, 0, "hang")
+    _fail_in_child(monkeypatch, 3000, "hang")
     started = time.monotonic()
 
     def interrupt(kind, n, m, q):
@@ -326,4 +359,30 @@ def test_interrupt_in_parent_kills_and_reaps_children(tmp_path, monkeypatch):
         run(SearchConfig(max_n=3000, pool_size=2), on_event=interrupt)
     assert len(pids) == 3
     _assert_reaped(pids)
+    assert time.monotonic() - started < 30
+
+
+def test_sigterm_in_parent_kills_and_reaps_children(monkeypatch):
+    # SIGTERM's default action would end the parent at once and leave the
+    # children scanning; while they run, it raises SystemExit instead, so
+    # the parent kills and reaps them, then the default comes back
+    assert signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
+    monkeypatch.setattr(search_engine, "CHECKPOINT_INTERVAL", 100)
+    _force_shards(monkeypatch, 4)
+    _, pids = _record(monkeypatch)
+    _fail_in_child(monkeypatch, 3000, "hang")
+    started = time.monotonic()
+
+    def terminate(kind, n, m, q):
+        if n > 500:
+            # under the default action the signal would end the test run
+            assert signal.getsignal(signal.SIGTERM) != signal.SIG_DFL
+            os.kill(os.getpid(), signal.SIGTERM)
+
+    with pytest.raises(SystemExit) as info:
+        run(SearchConfig(max_n=3000, pool_size=2), on_event=terminate)
+    assert info.value.code == 128 + signal.SIGTERM
+    assert len(pids) == 3
+    _assert_reaped(pids)
+    assert signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
     assert time.monotonic() - started < 30

@@ -29,7 +29,8 @@ EXPORTS = {
                     "solve_window"],
     "qr_filter": ["FilterOutcome", "passes"],
     "search_engine": ["CheckpointChecksumError", "CheckpointError", "CheckpointFormatError",
-                      "CheckpointPoolMismatchError", "CheckpointVersionError", "SearchConfig",
+                      "CheckpointPoolMismatchError", "CheckpointResidueError",
+                      "CheckpointVersionError", "SearchConfig",
                       "SearchSummary", "ShardError", "load_checkpoint", "run",
                       "save_checkpoint"],
 }
