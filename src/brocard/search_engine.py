@@ -14,19 +14,16 @@ scan can be killed and resumed without rework.
 A long range is cut into shards, one per available core. The calling
 process builds the kernel's nonresidue tables, then runs the first shard
 itself, up from the scan's start, and forks a child for each later one,
-which inherits the tables. The last child scans down from the scan's
-stop: it derives the down tables (`qr_filter.down_bits`) and starts from
-the top of the pool by Wilson's theorem (`top_state`), so it needs no
-seed; with two shards no process seeds. Each interior child (three or
-more shards) seeds the stream at its start from n alone (`seed_state`)
-and scans up. A child sends back over a pipe one record per piece of its
-range, in the order it scans them: the survivors, n! mod the pool product
-at the piece's top and the rejection counts. The calling process settles
-every survivor, delivers every event and writes every checkpoint, in
-ascending n, exactly as a one-process run would; it takes the down
-child's pieces once all of them are in. While children run, SIGTERM
-raises SystemExit in the calling process, so they are killed and reaped
-on the way out.
+which inherits the tables. Every child scans its range down from the top:
+it derives the down tables (`qr_filter.down_bits`) and starts from the
+top of the pool by Wilson's theorem (`top_state`), so no scan seeds the
+stream from n. A child sends back over a pipe one record per piece of its
+range, top piece first: the survivors, n! mod the pool product at the
+piece's top and the rejection counts. The calling process settles every
+survivor, delivers every event and writes every checkpoint, in ascending
+n, exactly as a one-process run would; it takes a child's pieces once all
+of them are in. While children run, SIGTERM raises SystemExit in the
+calling process, so they are killed and reaped on the way out.
 
 Determinism is a hard requirement: for a fixed pool, the reported
 stream, all counters and every checkpoint are identical whether the scan
@@ -66,11 +63,13 @@ CHECKPOINT_INTERVAL = 100_000
 # A range is sharded only where each shard gets at least this many n: a
 # shard pays a fork and the start of its stream.
 _MIN_SHARD_SPAN = 1 << 17
-# Seeding the stream at n from n alone costs about this share of scanning
-# as many n, and so does each factor of a start from the top of the pool:
-# 169-180 ns per n seeded against 770-1030 ns per n scanned with the
-# 48-prime pool and its 8 tables near n = 5 * 10**5 (medians of five,
-# three runs, 2-core x86-64 VM, CPython 3.11).
+# Each factor of a shard child's start from the top of the pool
+# (`top_state`) costs about this share of scanning one n: 136-199 ns per
+# factor for n = 2.5-7.5 * 10**5 against 640-1069 ns per n scanned down
+# with the 48-prime pool of a 10**6 scan and its 8 tables, a share of
+# 0.18-0.25, median 0.19, over nine runs (medians of five each, 2-core
+# x86-64 VM, CPython 3.11). The balance is flat in it: 0.19 would move
+# the 2-shard cut of that scan by 3 n and the 4-shard cuts by under 1 %.
 _SEED_COST = 0.18
 
 _CHECKPOINT_MAGIC = b"BROCARD-CHECKPOINT v1"
@@ -250,6 +249,8 @@ def run(config: SearchConfig, on_event: EventCallback = _drop_event) -> SearchSu
     start, residue = (load_checkpoint(config.checkpoint_path, pool) if config.resume
                       else seed_state(pool, 0))
     stop = config.max_n if config.stop_n is None else min(config.stop_n, config.max_n)
+    if stop < start:
+        raise ValueError(f"stop_n={config.stop_n} lies below the scan's start n={start}")
 
     solutions: list[tuple[int, int]] = []
     unresolved: list[int] = []
@@ -297,12 +298,13 @@ def run(config: SearchConfig, on_event: EventCallback = _drop_event) -> SearchSu
     try:
         if len(bounds) > 2:
             restore = _raise_on_sigterm()
-            # the interior shards scan up from a seed, the last one down from stop
-            for lo, hi in zip(bounds[1:-2], bounds[2:-1]):
+            for lo, hi in zip(bounds[1:-1], bounds[2:]):
                 children.append(_fork_shard(pool, tables, lo, hi))
-            children.append(_fork_shard(pool, tables, stop, bounds[-2]))
-        for hi, record in _scan_pieces(pool, tables, start, residue, bounds[1]):
+        lo = start
+        for hi in _segment_ends(start, bounds[1]):
+            record = scan_piece(pool, tables, lo, residue, hi)
             end_piece(hi, *record)
+            lo, residue = hi, record[1]
         for child in children:
             for hi, record in child.pieces():
                 end_piece(hi, *record)
@@ -348,24 +350,24 @@ def _shard_bounds(start: int, stop: int, count: int, top: int) -> list[int]:
 
     The cuts may fall anywhere; they balance wall time. The tables are
     built before any shard starts, so they drop out of the balance. Shard
-    0 scans on from `start`. An interior shard k first seeds its start at
-    _SEED_COST per n; the last shard scans down from `stop` after a
-    start that costs as much per factor from stop + 1 to `top`, the last
-    pool prime. So with keep = 1 - _SEED_COST the targets are
-    c_1 = start + t and c_{k+1} = keep * c_k + t, where t gives the last
-    shard the same cost. A cut that would not fall strictly between its
-    neighbours is dropped, with its shard.
+    0 scans up from `start`. Every later shard scans down from its top
+    c_{k+1}, after a start that costs _SEED_COST per factor from c_{k+1}
+    + 1 to `top`, the last pool prime. So with keep = 1 - _SEED_COST the
+    depths d_k = top - c_k, counted down from d_count = top - stop, are
+    d_k = t + keep * d_{k+1}, where t gives shard 0, c_1 - start, the
+    same cost. A cut that would not fall strictly between its neighbours
+    is dropped, with its shard.
     """
     keep = 1 - _SEED_COST
-    t = ((stop + _SEED_COST * (top - stop) - start * keep ** (count - 2))
+    t = ((top - start - keep ** (count - 1) * (top - stop))
          / (1 + sum(keep ** j for j in range(count - 1))))
-    bounds, target = [start], start + t
+    cuts, depth = [stop], top - stop
     for _ in range(count - 1):
-        cut = round(target)
-        if bounds[-1] < cut < stop:
-            bounds.append(cut)
-        target = target * keep + t
-    return bounds + [stop]
+        depth = t + keep * depth
+        cut = round(top - depth)
+        if start < cut < cuts[-1]:
+            cuts.append(cut)
+    return [start] + cuts[::-1]
 
 
 def _segment_ends(lo: int, hi: int) -> Iterator[int]:
@@ -376,73 +378,52 @@ def _segment_ends(lo: int, hi: int) -> Iterator[int]:
         yield lo
 
 
-def _scan_pieces(pool: PrimePool, tables: list[bytes], start: int, residue: int,
-                 end: int) -> Iterator[tuple[int, tuple[list[int], int, dict[int, int]]]]:
-    """(top, record) for each piece between start and end from `residue`,
-    the stream at start, in scan order: up, each from the end and residue
-    of the last; down (end < start), each from the stream the last
-    returned. Every record holds top! mod the pool product, the residue
-    a checkpoint at its top needs: down, one `wilson_flip` of the stream
-    at top."""
-    if end < start:
-        tops = [*reversed(list(_segment_ends(end, start))), end]
-        for top, bottom in zip(tops, tops[1:]):
-            survivors, residue_at_bottom, counts = scan_piece(pool, tables, top, residue, bottom)
-            yield top, (survivors, wilson_flip(pool, residue), counts)
-            residue = residue_at_bottom
-        return
-    for top in _segment_ends(start, end):
-        record = scan_piece(pool, tables, start, residue, top)
-        yield top, record
-        start, residue = top, record[1]
-
-
 def _send(pipe: BinaryIO, record: object) -> None:
     marshal.dump(record, pipe)
     pipe.flush()
 
 
-def _fork_shard(pool: PrimePool, tables: list[bytes], start: int, end: int) -> "_Child":
-    """Fork a shard child to scan from start to end (down if end < start)
-    with `tables`, which it inherits. One pipe carries its records to the
-    parent."""
+def _fork_shard(pool: PrimePool, tables: list[bytes], lo: int, hi: int) -> "_Child":
+    """Fork a shard child to scan lo + 1 .. hi with `tables`, which it
+    inherits. One pipe carries its records to the parent."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
         if pid == 0:
-            _scan_shard(pool, tables, start, end, read_fd, write_fd)
+            _scan_shard(pool, tables, lo, hi, read_fd, write_fd)
     except BaseException:
         os.close(read_fd)
         raise
     finally:
         os.close(write_fd)
-    return _Child(pid, open(read_fd, "rb"), start, end)
+    return _Child(pid, open(read_fd, "rb"), lo, hi)
 
 
-def _scan_shard(pool: PrimePool, tables: list[bytes], start: int, end: int,
+def _scan_shard(pool: PrimePool, tables: list[bytes], lo: int, hi: int,
                 parent_fd: int, write_fd: int) -> NoReturn:
-    """Body of a shard child: scan from start to end. Up, it seeds the
-    stream at start from n alone; down, it takes the stream at start from
-    the top of the pool and derives the down tables.
+    """Body of a shard child: scan lo + 1 .. hi down from hi. It takes the
+    stream at hi from the top of the pool (`top_state`), so it seeds
+    nothing, and derives the down tables from the inherited ones.
 
-    Sends one marshal record per piece in scan order, (survivors, residue
-    at its top, rejection counts), or a one-line error message, into
-    write_fd. Ends with os._exit, so it never returns or raises into the
-    caller's stack and never flushes stdio buffers inherited from the
-    parent.
+    Sends one marshal record per piece, top piece first, (survivors, n!
+    mod the pool product at its top, rejection counts), or a one-line
+    error message, into write_fd. Ends with os._exit, so it never returns
+    or raises into the caller's stack and never flushes stdio buffers
+    inherited from the parent.
     """
     code = 1
     try:
         os.close(parent_fd)
         with open(write_fd, "wb") as pipe:
             try:
-                if end < start:
-                    residue = top_state(pool, start)
-                    tables = [down_bits(table, p) for table, p in zip(tables, pool.primes)]
-                else:
-                    residue = seed_state(pool, start).residue
-                for _, record in _scan_pieces(pool, tables, start, residue, end):
-                    _send(pipe, record)
+                residue = top_state(pool, hi)
+                tables = [down_bits(table, p) for table, p in zip(tables, pool.primes)]
+                edges = [lo, *_segment_ends(lo, hi)][::-1]
+                for top, bottom in zip(edges, edges[1:]):
+                    survivors, below, counts = scan_piece(pool, tables, top, residue, bottom)
+                    # the residue a checkpoint at the piece's top needs
+                    _send(pipe, (survivors, wilson_flip(pool, residue), counts))
+                    residue = below
                 code = 0
             except Exception as exc:
                 _send(pipe, " ".join(f"{type(exc).__name__}: {exc}".split()))
@@ -473,11 +454,10 @@ class _Child:
     """A shard child as its parent sees it: pid and the read end of the
     pipe its records come on."""
 
-    def __init__(self, pid: int, pipe: BinaryIO, start: int, end: int) -> None:
+    def __init__(self, pid: int, pipe: BinaryIO, lo: int, hi: int) -> None:
         self.pid: int | None = pid
         self.pipe = pipe
-        self.lo, self.hi = sorted((start, end))
-        self.down = end < start
+        self.lo, self.hi = lo, hi
 
     def _fail(self, reason: str) -> NoReturn:
         raise ShardError(f"scan shard n={self.lo + 1}..{self.hi}: {reason}")
@@ -496,12 +476,10 @@ class _Child:
 
     def pieces(self) -> Iterator[tuple[int, "tuple[list[int], int, dict[int, int]]"]]:
         """(top, record) for each piece of the child's range, ascending.
-        A down child's records come top first, so all of them are read
-        before the first is yielded."""
+        The records come top first, so all of them are read before the
+        first is yielded."""
         tops = list(_segment_ends(self.lo, self.hi))
-        if self.down:
-            return zip(tops, reversed([self.receive() for _ in tops]))
-        return ((top, self.receive()) for top in tops)
+        return zip(tops, reversed([self.receive() for _ in tops]))
 
     def reap(self) -> int:
         _, status = os.waitpid(self.pid, 0)

@@ -98,11 +98,26 @@ def test_emitted_certificates_recheck_with_one_pow(max_n, pool_size):
         assert pow((f + 1) % q, (q - 1) // 2, q) == q - 1
 
 
-def test_run_validates_config():
+def test_run_validates_config(tmp_path):
     with pytest.raises(ValueError):
         run(SearchConfig(max_n=10, resume=True))
     with pytest.raises(ValueError, match="max_n must be non-negative"):
         run(SearchConfig(max_n=-1))
+    # a stop below the start, resumed or from 0, is refused before any
+    # scan work: no event, and the checkpoint is left as it was
+    ck = str(tmp_path / "scan.ck")
+    run(SearchConfig(max_n=3000, pool_size=4, checkpoint_path=ck, stop_n=2000))
+    with open(ck, "rb") as fh:
+        saved = fh.read()
+    events = []
+    for config in [SearchConfig(max_n=3000, pool_size=4, checkpoint_path=ck, resume=True,
+                                stop_n=100),
+                   SearchConfig(max_n=3000, pool_size=4, checkpoint_path=ck, stop_n=-1)]:
+        with pytest.raises(ValueError, match="lies below the scan's start"):
+            run(config, on_event=lambda *event: events.append(event))
+    assert events == []
+    with open(ck, "rb") as fh:
+        assert fh.read() == saved
 
 
 # ---------------------------------------------------------------------------

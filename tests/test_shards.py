@@ -124,10 +124,10 @@ def test_scan_without_checkpoint_reports_on_the_grid(monkeypatch, shards):
 
 
 @pytest.mark.parametrize("size", [1, 48])
-def test_two_shards_seed_nothing(tmp_path, monkeypatch, size):
-    # shard 0 scans on from 0!, the child down from the top of the pool:
-    # neither seeds the stream from n, and the bytes are a one-process
-    # scan's, run to max_n (3001 is prime, so the child's first n is
+def test_no_shard_seeds(tmp_path, monkeypatch, size):
+    # shard 0 scans on from 0!, every child down from the top of the pool:
+    # no process seeds the stream from n, and the bytes are a one-process
+    # scan's, run to max_n (3001 is prime, so the last child's first n is
     # p - 1 for the first pool prime) and stopped short of it
     monkeypatch.setattr(search_engine, "CHECKPOINT_INTERVAL", 97)
     seed_state = search_engine.seed_state
@@ -141,9 +141,10 @@ def test_two_shards_seed_nothing(tmp_path, monkeypatch, size):
         config = SearchConfig(max_n=3000, pool_size=size, stop_n=stop_n,
                               checkpoint_path=str(tmp_path / "scan.ck"))
         one = _scan(monkeypatch, config, 1)
-        with monkeypatch.context() as m:
-            m.setattr(search_engine, "seed_state", seed_only_zero)
-            assert _scan(monkeypatch, config, 2) == one
+        for shards in (2, 3, 4):
+            with monkeypatch.context() as m:
+                m.setattr(search_engine, "seed_state", seed_only_zero)
+                assert _scan(monkeypatch, config, shards) == one, (stop_n, shards)
 
 
 def test_shard_count_follows_cores_and_span(monkeypatch):
@@ -176,22 +177,20 @@ def test_shard_bounds_balance_seeding_off_the_grid():
         bounds = search_engine._shard_bounds(start, stop, count, top)
         assert bounds[0] == start and bounds[-1] == stop and len(bounds) == count + 1
         assert bounds == sorted(set(bounds))
-        # shard 0 scans on from start, an interior shard seeds its start
-        # from n alone, and the last shard scans down from stop after a
-        # start whose factors run from stop + 1 to top: every shard costs
-        # what shard 0 does, up to rounding
-        costs = [hi - lo + seed * (top - stop if k == count - 1 else lo * (k > 0))
+        # shard 0 scans on from start, and every later shard scans down
+        # from its top hi after a start whose factors run from hi + 1 to
+        # top: every shard costs what shard 0 does, up to rounding
+        costs = [hi - lo + seed * (top - hi) * (k > 0)
                  for k, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
         assert max(costs) - min(costs) < 2
-        # the interior shards get fewer n the later they start; the last
-        # one seeds nothing, so it is no longer the smallest
+        # the children get more n the nearer their top is to the pool's,
+        # and none as many as shard 0, which starts for free
         sizes = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
-        assert sizes[:-1] == sorted(sizes[:-1], reverse=True)
-        assert sizes[-1] > min(sizes) or count == 2
+        assert sizes[1:] == sorted(sizes[1:]) and max(sizes[1:]) < sizes[0]
     # with 2 shards the 10**6 scan is cut near its middle, where the
-    # balance falls, not on the 10**5 grid
-    cut = search_engine._shard_bounds(0, 1_000_123, 2, 1_000_737)[1]
-    assert abs(cut - 1_000_123 / 2) < 100 and cut % 100_000 != 0
+    # balance falls, not on the 10**5 grid, and where the cut fell when
+    # only the last shard scanned down
+    assert search_engine._shard_bounds(0, 1_000_123, 2, 1_000_737) == [0, 500_117, 1_000_123]
     # a span too short for every shard keeps the cuts that fall strictly
     # inside it
     assert search_engine._shard_bounds(0, 2, 4, 2) == [0, 1, 2]
