@@ -112,17 +112,20 @@ class ReportWriter:
         if append:
             with open(path, "rb") as fh:
                 for lineno, raw in enumerate(fh, 1):
-                    raw = raw.strip()
-                    if not raw:
-                        continue
-                    try:
-                        kinds[json.loads(raw)["kind"]] += 1
-                    except (ValueError, TypeError, KeyError):
-                        # a torn write leaves a prefix of a line, never valid JSON,
-                        # and a kind that is a list or object cannot be counted
-                        raise ReportFormatError(
-                            f"{path}: line {lineno} is not a report line: {raw[:40]!r}"
-                        ) from None
+                    line = raw.strip()
+                    if line:
+                        try:
+                            kinds[json.loads(line)["kind"]] += 1
+                        except (ValueError, TypeError, KeyError):
+                            # a kind that is a list or object cannot be counted
+                            raise ReportFormatError(
+                                f"{path}: line {lineno} is not a report line: {line[:40]!r}"
+                            ) from None
+                    # A torn write leaves a prefix of a line, which may itself
+                    # be valid JSON: a whole line without its line end. The
+                    # next line would be appended onto it.
+                    if not raw.endswith(b"\n"):
+                        raise ReportFormatError(f"{path}: line {lineno} has no line end")
         stream = open(path, "a" if append else "w", encoding="ascii", newline="")
         writer = cls(stream, owns_stream=True)
         writer.kinds.update(kinds)

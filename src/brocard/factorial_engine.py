@@ -2,9 +2,10 @@
 
 The scan never materializes n! per step. It carries n! mod the product
 of the pool primes and multiplies by n to advance, which keeps the
-per-step cost flat. Exact factorials are computed on demand, for the
-CLI's exact commands and for the rare scan survivor that no Legendre
-certificate settles (`conditions.verify`).
+per-step cost flat, and starts it at any n from whichever end of the
+pool is nearer (`seed_state`). Exact factorials are computed on demand,
+for the CLI's exact commands and for the rare scan survivor that no
+Legendre certificate settles (`conditions.verify`).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Iterator, NamedTuple
 
 from .exact_arith import is_prime_64
 
-# Consecutive factors `seed_state` and `top_state` multiply together
+# Consecutive factors `seed_state` multiplies together
 # (one `math.perm`) before each reduction by the pool product. Medians of
 # five seeds of n = 5 * 10**5 with the 48-prime pool, three runs (2-core
 # x86-64 VM, CPython 3.11): 0.092-0.101 s with 16 factors, 0.085-0.090 s
@@ -83,56 +84,33 @@ def build_prime_pool(max_n: int, count: int) -> PrimePool:
 
 
 def seed_state(pool: PrimePool, n: int) -> FactorialState:
-    """The stream at position n, computed from n alone.
+    """The stream at position n, computed from whichever end of the pool
+    takes fewer factors.
 
-    Blocks of consecutive factors are multiplied exactly and each block
-    product is reduced mod the product of the pool, so reaching n costs
-    about n / 32 reductions of one big residue, far less than n steps.
-    """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n > pool.max_n:
-        raise CeilingError(f"n={n} is beyond pool max_n={pool.max_n}")
-    return FactorialState(n=n, residue=_times_range(1, 2, n + 1, math.prod(pool.primes)))
-
-
-def top_state(pool: PrimePool, n: int) -> int:
-    """u = (n + 1)(n + 2)...(p - 1) mod p for each pool prime p, packed
-    into one residue mod the product of the pool, for 0 <= n <= max_n.
-
-    By Wilson's theorem (p - 1)! == -1, so n! * u == -1 (mod p): u is the
-    stream at n seen from the top of the pool (see `wilson_flip`). It
-    costs one running product of the factors from n + 1 to the last pool
-    prime, so near max_n it is far cheaper than `seed_state`.
+    Up from 1 it multiplies 2 .. n. Down from the top it multiplies u =
+    (n + 1)(n + 2)...(p - 1) mod each pool prime p in one running product
+    up to the last prime, and Wilson's theorem, (p - 1)! == -1, gives n!
+    == -1 / u (mod p); the residues are joined by the Chinese remainder
+    theorem. Blocks of consecutive factors are multiplied exactly and each
+    block product is reduced mod the product of the pool, so either way
+    costs about min(n, p - n) / 32 reductions of one big residue, for the
+    last pool prime p.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     if n > pool.max_n:
         raise CeilingError(f"n={n} is beyond pool max_n={pool.max_n}")
     modulus = math.prod(pool.primes)
-    residues, running, a = [], 1, n + 1
+    if n <= pool.primes[-1] - n:
+        return FactorialState(n=n, residue=_times_range(1, 2, n + 1, modulus))
+    residue, running, a = 0, 1, n + 1
     for p in pool.primes:
         running = _times_range(running, a, p, modulus)
-        residues.append(running % p)
-        a = p
-    return crt(residues, pool.primes)
-
-
-def wilson_flip(pool: PrimePool, residue: int) -> int:
-    """-1 / residue mod the pool product: n! from `top_state` at n, and
-    back, since the map is its own inverse."""
-    modulus = math.prod(pool.primes)
-    return -pow(residue, -1, modulus) % modulus
-
-
-def crt(residues: list[int], primes: tuple[int, ...]) -> int:
-    """The x mod the product of `primes` with x = r mod p for each pair."""
-    modulus = math.prod(primes)
-    x = 0
-    for r, p in zip(residues, primes):
         m = modulus // p
-        x += r * m * pow(m, -1, p)
-    return x % modulus
+        # the term that is n! == -1 / u mod p and 0 mod the other primes
+        residue += m * (-pow(running * m, -1, p) % p)
+        a = p
+    return FactorialState(n=n, residue=residue % modulus)
 
 
 def _times_range(packed: int, a: int, b: int, modulus: int) -> int:

@@ -8,11 +8,11 @@ Each pool prime passes a random non-solution with probability about 1/2,
 so a 48-prime pool leaks a false survivor roughly once in 2**48 trials.
 
 `scan_piece` is the kernel the scan runs, one piece of n at a time, up
-from n! or down from the top of the pool, where by Wilson's theorem
-u = (n + 1)...(p - 1) stands for n! == -1 / u and `down_bits` turns each
-table into the one that tests u. `passes` evaluates one stream position
-symbol by symbol and is kept as the reference the tests hold the kernel
-to.
+or down, from n! mod the pool product at one end of the piece to n! at
+the other. Down it carries u = (n + 1)...(p - 1) instead, n! == -1 / u
+by Wilson's theorem, and `down_bits` turns each table into the one that
+tests u. `passes` evaluates one stream position symbol by symbol and is
+kept as the reference the tests hold the kernel to.
 """
 
 from __future__ import annotations
@@ -158,17 +158,17 @@ def down_bits(table: bytes, p: int) -> bytes:
 def scan_piece(pool: PrimePool, tables: list[bytes], start: int, residue: int,
                end: int) -> tuple[list[int], int, dict[int, int]]:
     """The scan kernel: filter the n between `start` and `end`, n >= 2,
-    from `residue`, the stream at `start`, in either direction. Returns
-    the piece's record: the n that pass, ascending, the stream at `end`,
-    and the piece's rejections as a count per rejecting prime. The record
-    is all the next piece needs, so pieces run from any predecessor's
-    record.
+    in either direction, from `residue`, start! mod the product of the
+    whole pool. Returns the piece's record: the n that pass, ascending,
+    end! mod the pool product, and the piece's rejections as a count per
+    rejecting prime. The record is all the next piece needs, so pieces
+    run from any predecessor's record, and it is the same whichever way
+    the piece was scanned.
 
     Up (start <= end) the piece is n = start + 1 .. end and the stream at
-    n is n! mod the product of the whole pool. Down (end < start) the
-    piece is n = end + 1 .. start, scanned from start down, and the
-    stream at n is u, the `factorial_engine.top_state` at n, which needs
-    no seed at the top of a scan.
+    n is n!. Down (end < start) the piece is n = end + 1 .. start,
+    scanned from start down, and the stream at n is u = -1 / n!, so each
+    step multiplies by n and only the two ends take an inverse.
 
     tables[i] is the table of the prime at pool rank i, `nonresidue_bits`
     up and `down_bits` down, for the leading ranks a scan tests by table.
@@ -195,11 +195,14 @@ def scan_piece(pool: PrimePool, tables: list[bytes], start: int, residue: int,
     p0, p1, p2, p3 = moduli
     t0, t1, t2, t3 = list(tables[:width]) + [_NEVER] * pad
     perm = math.perm
+    modulus = math.prod(primes)
     # Each step tests the front, then multiplies it on: up by the next n
     # (step n tests n - 1), down by the n just tested. So the front starts
     # at the first n tested, and a down scan from n = p - 1, where u is
     # the empty product 1, never multiplies by p.
     if down:
+        # -1 / x mod the pool product turns n! into u, and u back into n!
+        residue = -pow(residue, -1, modulus) % modulus
         front, steps = residue, (hi, first - 1, -1)
     else:
         front, steps = residue * perm(first, first - lo), (first + 1, hi + 2)
@@ -210,7 +213,6 @@ def scan_piece(pool: PrimePool, tables: list[bytes], start: int, residue: int,
     tabled = len(tables) - width
     tail_tables = [(i, p, table) for i, (p, table) in enumerate(zip(tail, tables[width:]))]
     tail_pows = [(i, p, (p - 1) >> 1) for i, p in enumerate(tail[tabled:], tabled)]
-    modulus = math.prod(primes)
     counts = [0] * len(tail)
     survivors: list[int] = []
     packed, packed_n = residue, start
@@ -253,6 +255,7 @@ def scan_piece(pool: PrimePool, tables: list[bytes], start: int, residue: int,
     if down:
         survivors.reverse()
         packed = packed * perm(packed_n, packed_n - lo) % modulus
+        packed = -pow(packed, -1, modulus) % modulus
     else:
         packed = packed * perm(hi, hi - packed_n) % modulus
     # a padded slot never rejects, so its count stays 0

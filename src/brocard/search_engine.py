@@ -14,12 +14,13 @@ scan can be killed and resumed without rework.
 A long range is cut into shards, one per available core. The calling
 process builds the kernel's nonresidue tables, then runs the first shard
 itself, up from the scan's start, and forks a child for each later one,
-which inherits the tables. Every child scans its range down from the top:
-it derives the down tables (`qr_filter.down_bits`) and starts from the
-top of the pool by Wilson's theorem (`top_state`), so no scan seeds the
-stream from n. A child sends back over a pipe one record per piece of its
-range, top piece first: the survivors, n! mod the pool product at the
-piece's top and the rejection counts. The calling process settles every
+which inherits the tables. Every child scans its range down from its top
+with the down tables (`qr_filter.down_bits`), from n! mod the pool
+product at that top (`seed_state`, from whichever end of the pool is
+nearer). The stream crosses every boundary between layers as n! mod the
+pool product. A child sends back over a pipe one record per piece of its
+range, top piece first: the survivors, n! at the piece's top and the
+rejection counts. The calling process settles every
 survivor, delivers every event and writes every checkpoint, in ascending
 n, exactly as a one-process run would; it takes a child's pieces once all
 of them are in. While children run, SIGTERM raises SystemExit in the
@@ -48,10 +49,7 @@ from .factorial_engine import (
     FactorialState,
     PrimePool,
     build_prime_pool,
-    crt,
     seed_state,
-    top_state,
-    wilson_flip,
 )
 from .qr_filter import down_bits, nonresidue_bits, scan_piece, table_ranks
 
@@ -63,13 +61,13 @@ CHECKPOINT_INTERVAL = 100_000
 # A range is sharded only where each shard gets at least this many n: a
 # shard pays a fork and the start of its stream.
 _MIN_SHARD_SPAN = 1 << 17
-# Each factor of a shard child's start from the top of the pool
-# (`top_state`) costs about this share of scanning one n: 136-199 ns per
-# factor for n = 2.5-7.5 * 10**5 against 640-1069 ns per n scanned down
-# with the 48-prime pool of a 10**6 scan and its 8 tables, a share of
-# 0.18-0.25, median 0.19, over nine runs (medians of five each, 2-core
-# x86-64 VM, CPython 3.11). The balance is flat in it: 0.19 would move
-# the 2-shard cut of that scan by 3 n and the 4-shard cuts by under 1 %.
+# Each factor of a shard child's start (`seed_state`) costs about this
+# share of scanning one n: 136-199 ns per factor for n = 2.5-7.5 * 10**5
+# against 640-1069 ns per n scanned down with the 48-prime pool of a
+# 10**6 scan and its 8 tables, a share of 0.18-0.25, median 0.19, over
+# nine runs (medians of five each, 2-core x86-64 VM, CPython 3.11). The
+# balance is flat in it: 0.19 would move the 2-shard cut of that scan by
+# 3 n and the 4-shard cuts by under 1 %.
 _SEED_COST = 0.18
 
 _CHECKPOINT_MAGIC = b"BROCARD-CHECKPOINT v1"
@@ -163,9 +161,8 @@ def load_checkpoint(path: str, pool: PrimePool) -> FactorialState:
 
     Validation order: version marker first, then checksum over the whole
     body, then field structure, then pool identity, then the residues
-    themselves, re-derived from n (`seed_state`) or from the top of the
-    pool (`top_state`), whichever takes fewer factors. Each failure mode
-    raises its own CheckpointError subclass.
+    themselves, each of which must be the `seed_state` at n mod its
+    prime. Each failure mode raises its own CheckpointError subclass.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -184,15 +181,25 @@ def load_checkpoint(path: str, pool: PrimePool) -> FactorialState:
     if zlib.crc32(body) != int(m.group(1), 16):
         raise CheckpointChecksumError(f"{path}: checksum mismatch")
 
-    lines = body.decode("ascii").splitlines()
-    fields = {}
-    for key, line in zip(("max_n", "n", "primes"), lines[1:4]):
-        name, eq, value = line.partition("=")
-        if name != key or eq != "=" or not value.isdigit():
-            raise CheckpointFormatError(f"{path}: bad field line {line!r}")
-        fields[key] = int(value)
-    pair_lines = lines[4:]
-    if fields.get("primes") != len(pair_lines):
+    try:
+        # a non-ASCII byte, or a number past int()'s digit limit, raises
+        # ValueError
+        lines = body.decode("ascii").splitlines()
+        fields = {}
+        for key, line in zip(("max_n", "n", "primes"), lines[1:4]):
+            name, eq, value = line.partition("=")
+            if name != key or eq != "=" or not value.isdigit():
+                raise CheckpointFormatError(f"{path}: bad field line {line!r}")
+            fields[key] = int(value)
+        pairs = []
+        for line in lines[4:]:
+            left, comma, right = line.partition(",")
+            if comma != "," or not left.isdigit() or not right.isdigit():
+                raise CheckpointFormatError(f"{path}: bad pair line {line!r}")
+            pairs.append((int(left), int(right)))
+    except ValueError as exc:
+        raise CheckpointFormatError(f"{path}: unreadable body: {exc}") from None
+    if fields.get("primes") != len(pairs):
         raise CheckpointFormatError(f"{path}: prime count disagrees with pair lines")
     if fields["n"] > fields["max_n"]:
         raise CheckpointFormatError(f"{path}: position n={fields['n']} beyond max_n")
@@ -201,29 +208,21 @@ def load_checkpoint(path: str, pool: PrimePool) -> FactorialState:
         raise CheckpointPoolMismatchError(
             f"{path}: checkpoint scans to {fields['max_n']}, this scan to {pool.max_n}"
         )
-    if len(pair_lines) != len(pool.primes):
+    if len(pairs) != len(pool.primes):
         raise CheckpointPoolMismatchError(
-            f"{path}: pool has {len(pair_lines)} primes, expected {len(pool.primes)}"
+            f"{path}: pool has {len(pairs)} primes, expected {len(pool.primes)}"
         )
-    residues = []
-    for line, p in zip(pair_lines, pool.primes):
-        left, comma, right = line.partition(",")
-        if comma != "," or not left.isdigit() or not right.isdigit():
-            raise CheckpointFormatError(f"{path}: bad pair line {line!r}")
-        if int(left) != p:
+    for (q, _), p in zip(pairs, pool.primes):
+        if q != p:
             raise CheckpointPoolMismatchError(
-                f"{path}: pool prime {left} does not match expected {p}"
+                f"{path}: pool prime {q} does not match expected {p}"
             )
-        r = int(right)
-        if not 1 <= r < p:
-            raise CheckpointFormatError(f"{path}: residue {r} out of range for prime {p}")
-        residues.append(r)
-    n, residue = fields["n"], crt(residues, pool.primes)
+    state = seed_state(pool, fields["n"])
     # a wrong residue could make the filter reject a solution
-    if residue != (seed_state(pool, n).residue if n <= pool.primes[-1] - n
-                   else wilson_flip(pool, top_state(pool, n))):
-        raise CheckpointResidueError(f"{path}: the residues are not {n}! mod the pool primes")
-    return FactorialState(n=n, residue=residue)
+    if any(r != state.residue % p for (p, r) in pairs):
+        raise CheckpointResidueError(
+            f"{path}: the residues are not {state.n}! mod the pool primes")
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -351,12 +350,14 @@ def _shard_bounds(start: int, stop: int, count: int, top: int) -> list[int]:
     The cuts may fall anywhere; they balance wall time. The tables are
     built before any shard starts, so they drop out of the balance. Shard
     0 scans up from `start`. Every later shard scans down from its top
-    c_{k+1}, after a start that costs _SEED_COST per factor from c_{k+1}
-    + 1 to `top`, the last pool prime. So with keep = 1 - _SEED_COST the
-    depths d_k = top - c_k, counted down from d_count = top - stop, are
-    d_k = t + keep * d_{k+1}, where t gives shard 0, c_1 - start, the
-    same cost. A cut that would not fall strictly between its neighbours
-    is dropped, with its shard.
+    c_{k+1}, after a start priced at _SEED_COST per factor from c_{k+1}
+    + 1 to `top`, the last pool prime. That is an upper bound: the start
+    (`seed_state`) multiplies the fewer factors of that side and of
+    2 .. c_{k+1}, so a child whose top lies below top / 2 starts sooner
+    than priced. With keep = 1 - _SEED_COST the depths d_k = top - c_k,
+    counted down from d_count = top - stop, are d_k = t + keep * d_{k+1},
+    where t gives shard 0, c_1 - start, the same cost. A cut that would
+    not fall strictly between its neighbours is dropped, with its shard.
     """
     keep = 1 - _SEED_COST
     t = ((top - start - keep ** (count - 1) * (top - stop))
@@ -401,9 +402,8 @@ def _fork_shard(pool: PrimePool, tables: list[bytes], lo: int, hi: int) -> "_Chi
 
 def _scan_shard(pool: PrimePool, tables: list[bytes], lo: int, hi: int,
                 parent_fd: int, write_fd: int) -> NoReturn:
-    """Body of a shard child: scan lo + 1 .. hi down from hi. It takes the
-    stream at hi from the top of the pool (`top_state`), so it seeds
-    nothing, and derives the down tables from the inherited ones.
+    """Body of a shard child: scan lo + 1 .. hi down from hi!, the
+    `seed_state` at hi, with down tables derived from the inherited ones.
 
     Sends one marshal record per piece, top piece first, (survivors, n!
     mod the pool product at its top, rejection counts), or a one-line
@@ -416,13 +416,13 @@ def _scan_shard(pool: PrimePool, tables: list[bytes], lo: int, hi: int,
         os.close(parent_fd)
         with open(write_fd, "wb") as pipe:
             try:
-                residue = top_state(pool, hi)
+                residue = seed_state(pool, hi).residue
                 tables = [down_bits(table, p) for table, p in zip(tables, pool.primes)]
                 edges = [lo, *_segment_ends(lo, hi)][::-1]
                 for top, bottom in zip(edges, edges[1:]):
                     survivors, below, counts = scan_piece(pool, tables, top, residue, bottom)
                     # the residue a checkpoint at the piece's top needs
-                    _send(pipe, (survivors, wilson_flip(pool, residue), counts))
+                    _send(pipe, (survivors, residue, counts))
                     residue = below
                 code = 0
             except Exception as exc:

@@ -414,6 +414,24 @@ def test_resume_with_torn_report_line_exits_1(tmp_path, capsys):
     assert report.read_bytes() == torn
 
 
+def test_resume_onto_a_line_without_its_line_end_exits_1(tmp_path, capsys):
+    # a killed writer can leave a whole line without its "\n": valid JSON,
+    # onto which the resumed scan would append its next line
+    report, ck = tmp_path / "scan.jsonl", str(tmp_path / "scan.ck")
+    args = ["search", "--max-n", "1000", "--primes", "8", "--checkpoint", ck,
+            "--report", str(report)]
+    assert dispatch(args) == 0
+    lines = report.read_bytes().splitlines(keepends=True)
+    cut = b"".join(lines[:-1])[:-1]  # the summary gone, and the line end before it
+    json.loads(cut.splitlines()[-1])
+    report.write_bytes(cut)
+    capsys.readouterr()
+    assert dispatch(args + ["--resume"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"report: {report}: line {len(lines) - 1} has no line end\n"
+    assert report.read_bytes() == cut
+
+
 def test_semantic_usage_errors(capsys):
     assert dispatch(["table", "--from", "5", "--to", "2"]) == 1
     assert dispatch(["polysys", "--ymin", "2", "--ymax", "1"]) == 1
@@ -523,6 +541,32 @@ def test_checkpoint_with_a_wrong_residue_exits_3(tmp_path, capsys, stop_n):
                      "--report", str(report), "--resume"]) == 3
     err = capsys.readouterr().err
     assert err == f"checkpoint: {ck}: the residues are not {stop_n}! mod the pool primes\n"
+    assert report.read_bytes() == b""
+
+
+@pytest.mark.parametrize("n_line", ["n=5\u00e9".encode(), b"n=" + b"1" * 5000],
+                         ids=["non-ASCII byte", "number past int's digit limit"])
+def test_unreadable_checkpoint_body_exits_3(tmp_path, capsys, n_line):
+    # the checksum holds over a body no checkpoint writer makes: a byte
+    # that is not ASCII, or a number longer than int() reads from a string
+    import zlib
+
+    from brocard.factorial_engine import build_prime_pool
+    from brocard.search_engine import CheckpointFormatError, SearchConfig, load_checkpoint, run
+
+    ck, report = tmp_path / "scan.ck", tmp_path / "r.jsonl"
+    run(SearchConfig(max_n=3000, pool_size=8, checkpoint_path=str(ck), stop_n=1000))
+    report.write_bytes(b"")
+    lines = ck.read_bytes().split(b"\n")
+    lines[2] = n_line
+    body = b"\n".join(lines[:-2]) + b"\n"
+    ck.write_bytes(body + b"crc32=%08x\n" % zlib.crc32(body))
+    with pytest.raises(CheckpointFormatError):
+        load_checkpoint(str(ck), build_prime_pool(3000, 8))
+    assert dispatch(["search", "--max-n", "3000", "--primes", "8", "--checkpoint", str(ck),
+                     "--report", str(report), "--resume"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"checkpoint: {ck}: ") and err.count("\n") == 1
     assert report.read_bytes() == b""
 
 

@@ -19,8 +19,6 @@ from brocard.factorial_engine import (
     factorial_exact,
     is_factorial,
     seed_state,
-    top_state,
-    wilson_flip,
 )
 from brocard.qr_filter import nonresidue_bits, scan_piece
 
@@ -145,32 +143,34 @@ def test_seed_state_refuses_bad_positions():
         seed_state(pool, -1)
 
 
-@settings(max_examples=60, deadline=None)
-@given(size=st.sampled_from([1, 2, 3, 48]), max_n=st.integers(0, 3000), data=st.data())
-def test_top_state_is_wilsons_cofactor(size, max_n, data):
-    # u = (n + 1)...(p - 1) mod p per pool prime, so n! * u == -1 (mod p)
-    # and wilson_flip turns u into n! mod the pool product and back; at
-    # n = p - 1 the product is empty. Checked at 0, max_n, across block
-    # and prime edges, and at a drawn n.
+@pytest.mark.parametrize("size", [1, 2, 48])
+@pytest.mark.parametrize("max_n", [3000, 2999, 1000])
+def test_seed_state_from_either_side(monkeypatch, size, max_n):
+    # n! mod the pool product whichever side seed_state counts from: up
+    # from 1 at n = 0, 1 and just below half the last pool prime, down
+    # from it by Wilson's theorem just above half and at max_n. At
+    # --max-n 3000 the first pool prime is 3001, so max_n = p - 1 and the
+    # down product is empty for it; the side taken multiplies the fewer
+    # factors
     pool = build_prime_pool(max_n, size)
     modulus = math.prod(pool.primes)
-    points = {0, max_n, max(0, max_n - 33), pool.primes[0] - 1, data.draw(st.integers(0, max_n))}
-    for n in (n for n in points if n <= max_n):
-        u = top_state(pool, n)
-        for p in pool.primes:
-            assert u % p == math.prod(range(n + 1, p)) % p
-            assert math.factorial(n) * u % p == p - 1
-        assert wilson_flip(pool, u) == math.factorial(n) % modulus
-        assert wilson_flip(pool, wilson_flip(pool, u)) == u
-    assert wilson_flip(pool, top_state(pool, max_n)) == seed_state(pool, max_n).residue
+    top = pool.primes[-1]
+    half = top // 2
+    factors = []
+    times_range = factorial_engine._times_range
 
+    def counted(packed, a, b, m):
+        factors.append(max(0, b - a))
+        return times_range(packed, a, b, m)
 
-def test_top_state_refuses_bad_positions():
-    pool = build_prime_pool(50, 3)
-    with pytest.raises(CeilingError):
-        top_state(pool, 51)
-    with pytest.raises(ValueError):
-        top_state(pool, -1)
+    monkeypatch.setattr(factorial_engine, "_times_range", counted)
+    for n in sorted({0, 1, half - 1, half, half + 1, max_n - 1, max_n}):
+        factors.clear()
+        state = seed_state(pool, n)
+        assert state == (n, math.factorial(n) % modulus)
+        up = n <= top - n
+        assert sum(factors) == (max(0, n - 1) if up else top - 1 - n)
+        assert len(factors) == (1 if up else size)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,6 @@ from brocard.factorial_engine import (
     FactorialState,
     build_prime_pool,
     primes_above,
-    top_state,
-    wilson_flip,
 )
 from brocard.qr_filter import (
     down_bits,
@@ -302,9 +300,9 @@ def test_kernel_matches_reference(size, max_n, side, data):
 @example(size=2, max_n=3000, ranks=2, data=None)  # 3001 is prime: hi = p - 1
 @example(size=48, max_n=1008, ranks=8, data=None)  # 1008! == -1 (mod 1009)
 def test_down_pieces_match_up_pieces(size, max_n, ranks, data):
-    """A piece scanned down from the top_state at hi, with down tables,
-    returns the survivors and counts of the same piece scanned up from
-    lo!, and the stream at lo, which wilson_flip turns into lo!."""
+    """A piece scanned down from hi! with down tables returns the record
+    of the same piece scanned up from lo!: its survivors, its counts and
+    lo!, each stream value n! mod the pool product."""
     pool = build_prime_pool(max_n, size)
     if data is None:
         lo, hi = 0, max_n
@@ -314,10 +312,7 @@ def test_down_pieces_match_up_pieces(size, max_n, ranks, data):
     up = [nonresidue_bits(p) for p in pool.primes[:ranks]]
     down = [down_bits(table, p) for table, p in zip(up, pool.primes)]
     modulus = math.prod(pool.primes)
-    survivors, residue, counts = scan_piece(pool, up, lo, math.factorial(lo) % modulus, hi)
-    u = top_state(pool, hi)
-    assert wilson_flip(pool, u) == residue
-    down_survivors, u_lo, down_counts = scan_piece(pool, down, hi, u, lo)
-    assert (down_survivors, down_counts) == (survivors, counts)
-    assert u_lo == top_state(pool, lo)
-    assert wilson_flip(pool, u_lo) == math.factorial(lo) % modulus
+    lo_factorial = math.factorial(lo) % modulus
+    survivors, residue, counts = scan_piece(pool, up, lo, lo_factorial, hi)
+    assert residue == math.factorial(hi) % modulus
+    assert scan_piece(pool, down, hi, residue, lo) == (survivors, lo_factorial, counts)

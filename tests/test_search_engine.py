@@ -141,8 +141,8 @@ def test_checkpoint_roundtrip(tmp_path):
 @settings(max_examples=40, deadline=None)
 @given(size=st.sampled_from([1, 2, 3, 48]), max_n=st.integers(0, 3000), data=st.data())
 def test_checkpoint_roundtrip_of_seeded_states(tmp_path_factory, size, max_n, data):
-    # the file holds n! mod p per prime, and loading packs those back into
-    # the one residue the stream carries
+    # the file holds n! mod p per prime, and loading returns the one
+    # residue the stream carries
     pool = build_prime_pool(max_n, size)
     state = seed_state(pool, data.draw(st.integers(0, max_n), label="n"))
     path = str(tmp_path_factory.mktemp("ck") / "scan.ck")
@@ -243,7 +243,7 @@ def test_checkpoint_written_at_interval(tmp_path, monkeypatch):
                                           (200_000, 48, 150_000)])
 def test_kernel_checkpoint_matches_exact_residues(tmp_path, monkeypatch, max_n, count, n):
     # the scan's checkpoint at n, from one pass (table front) and from a
-    # short resumed segment (pow front, residue packed by CRT at load), is
+    # short resumed segment (pow front, from the residue the load checked), is
     # the file written from n! mod the pool product computed exactly
     pool = build_prime_pool(max_n, count)
     modulus = math.prod(pool.primes)

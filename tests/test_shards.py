@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from brocard import search_engine
+from brocard import factorial_engine, search_engine
 from brocard.cli_reporting import dispatch
 from brocard.factorial_engine import build_prime_pool
 from brocard.qr_filter import table_ranks
@@ -72,8 +72,9 @@ def _assert_reaped(pids):
 def test_shards_match_one_process(tmp_path, monkeypatch, size, max_n):
     # every SearchSummary field (rejections_by_prime included), and every
     # event and the bytes of every checkpoint in one stream, for 2, 3 and 4
-    # shards against one: with and without checkpoints, halted by stop_n,
-    # and resumed from a checkpoint written mid-run
+    # shards against one: with and without checkpoints, halted by stop_n
+    # (far below max_n too, where every child starts up from 1), and
+    # resumed from a checkpoint written mid-run
     monkeypatch.setattr(search_engine, "CHECKPOINT_INTERVAL", 97)
     ck = str(tmp_path / "scan.ck")
     mid = str(tmp_path / "mid.ck")
@@ -84,6 +85,8 @@ def test_shards_match_one_process(tmp_path, monkeypatch, size, max_n):
         "checkpointed": SearchConfig(max_n=max_n, pool_size=size, checkpoint_path=ck),
         "stopped": SearchConfig(max_n=max_n, pool_size=size, checkpoint_path=ck,
                                 stop_n=max_n * 3 // 4 + 5),
+        "stopped low": SearchConfig(max_n=max_n, pool_size=size, checkpoint_path=ck,
+                                    stop_n=max_n // 3),
         "resumed": SearchConfig(max_n=max_n, pool_size=size, checkpoint_path=ck,
                                 resume=True),
     }
@@ -124,27 +127,47 @@ def test_scan_without_checkpoint_reports_on_the_grid(monkeypatch, shards):
 
 
 @pytest.mark.parametrize("size", [1, 48])
-def test_no_shard_seeds(tmp_path, monkeypatch, size):
-    # shard 0 scans on from 0!, every child down from the top of the pool:
-    # no process seeds the stream from n, and the bytes are a one-process
-    # scan's, run to max_n (3001 is prime, so the last child's first n is
-    # p - 1 for the first pool prime) and stopped short of it
+def test_shard_starts_take_the_cheaper_side(tmp_path, monkeypatch, size):
+    # shard 0 starts from 0!, every child from n! at its top, counted up
+    # from 1 or down from the last pool prime, whichever multiplies fewer
+    # factors: no start multiplies more than min(n, top - n), and with 2
+    # shards at max_n the child multiplies the top - 1 - stop factors
+    # stop + 1 .. top - 1. The bytes are a one-process scan's, run to
+    # max_n (3001 is prime, so the last child's first n is p - 1 for the
+    # first pool prime) and stopped short of it
     monkeypatch.setattr(search_engine, "CHECKPOINT_INTERVAL", 97)
-    seed_state = search_engine.seed_state
+    top = build_prime_pool(3000, size).primes[-1]
+    log = tmp_path / "starts"
+    seed_state, times_range = search_engine.seed_state, factorial_engine._times_range
+    factors = []
 
-    def seed_only_zero(pool, n):
-        if n:
-            raise AssertionError(f"seeded n={n}")
-        return seed_state(pool, n)
+    def counted(packed, a, b, modulus):
+        factors.append(max(0, b - a))
+        return times_range(packed, a, b, modulus)
 
+    def logged(pool, n):
+        # a child's start is logged to a file, since it runs in another process
+        factors.clear()
+        state = seed_state(pool, n)
+        with open(log, "a") as fh:
+            fh.write(f"{n} {sum(factors)}\n")
+        return state
+
+    monkeypatch.setattr(factorial_engine, "_times_range", counted)
+    monkeypatch.setattr(search_engine, "seed_state", logged)
     for stop_n in (None, 2345):
+        stop = stop_n or 3000
         config = SearchConfig(max_n=3000, pool_size=size, stop_n=stop_n,
                               checkpoint_path=str(tmp_path / "scan.ck"))
         one = _scan(monkeypatch, config, 1)
         for shards in (2, 3, 4):
-            with monkeypatch.context() as m:
-                m.setattr(search_engine, "seed_state", seed_only_zero)
-                assert _scan(monkeypatch, config, shards) == one, (stop_n, shards)
+            log.unlink()
+            assert _scan(monkeypatch, config, shards) == one, (stop_n, shards)
+            starts = dict(map(int, line.split()) for line in log.read_text().splitlines())
+            assert len(starts) == shards and starts[0] == 0 and stop in starts
+            assert all(f <= min(n, top - n) for n, f in starts.items()), starts
+            if shards == 2 and stop_n is None:
+                assert starts[stop] == top - 1 - stop
 
 
 def test_shard_count_follows_cores_and_span(monkeypatch):
