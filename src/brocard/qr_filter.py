@@ -29,26 +29,37 @@ from .factorial_engine import FactorialState, PrimePool
 # and caught up only for the n the front passes.
 _FRONT_WIDTH = 4
 
-# Table or pow, measured on a 2-core x86-64 VM under CPython 3.11: a table
-# lookup in place of Euler's pow saves about 1100 ns per symbol with p
-# near 2**20, and a table costs about 8 ns per entry to build, the first
-# build in a process included (7.4 ns near 10**6, 5.5 near 2**24, 7.7 near
-# 10**8).
-_POW_SAVING_NS = 1100
-_BUILD_NS_PER_ENTRY = 8
-# Building a table passes through a p-byte array; above this no table is
-# built, whatever the segment length.
-_TABLE_MAX_PRIME = 1 << 24
+# Table or pow, measured on a 2-core x86-64 VM under CPython 3.11: in the
+# kernel, tables save 1880-2080 ns per symbol they answer in place of
+# Euler's pow with p near 10**6 (8 tables against 4 and against none, over
+# 6 * 10**4 n; pow alone costs 1220-1310 ns more than a lookup, 1630-2170
+# near 2**24 and 10**8, and a rank left to pow sends its n on to the
+# tail). A table costs 2.2-3.7 ns per entry to build, the first build in a
+# fresh process included (medians of five: 3.4 near 10**6, 2.3 near 2**24,
+# 2.4 near 10**8, 2.7 near 10**9).
+_POW_SAVING_NS = 1900
+_BUILD_NS_PER_ENTRY = 3
+# Memory, in table sizes (p / 8 bytes): a build passes through 3.5 more
+# than the table it makes, mostly its p / 2 flag bytes, and `down_bits`
+# through 2.2 more than the copy it makes (tracemalloc peaks near 10**8).
+_BUILD_SIZES = 4
+_DOWN_SIZES = 3
+# A scan builds no table that would take its tables past this many bytes.
+_TABLE_MEMORY = 1 << 31
 
 # The table of a padded front slot: its modulus is 1, so r is always 0,
 # and bit 0 is clear, so the slot never rejects.
 _NEVER = b"\x00"
 
-# `nonresidue_bits` copies flags in slices of at most this many bytes, so
-# its transient memory stays near the one p-byte flag array.
+# `nonresidue_bits` copies flags in slices of at most this many bytes, and
+# packs them 8 times as many at a time, so its transient memory stays near
+# its one flag array of p / 2 bytes.
 _SLICE_BYTES = 1 << 16
-# bytes.translate table swapping the flags 0 and 1
+# bytes.translate tables: swap the flags 0 and 1; reverse the bits of a
+# byte; reverse and complement them
 _FLIP = b"\x01\x00" + bytes(254)
+_REVERSE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+_REVERSE_NOT = bytes(255 - b for b in _REVERSE)
 
 
 class FilterOutcome(NamedTuple):
@@ -75,25 +86,34 @@ def passes(state: FactorialState, pool: PrimePool) -> FilterOutcome:
     return FilterOutcome(passed=True, rejecting_prime=None, symbols_evaluated=evaluated)
 
 
-def table_pays(p: int, rank: int, span: int) -> bool:
-    """Whether a nonresidue table for the prime p at pool rank `rank`
-    saves more over `span` values of n than it costs to build.
+def table_pays(p: int, rank: int, span: int, shards: int = 1) -> bool:
+    """Whether a scan of `span` n cut into `shards` shards gains by a
+    nonresidue table for the prime p at pool rank `rank`: whether the
+    tables of ranks 0 .. rank fit in _TABLE_MEMORY, and the table saves
+    one shard more wall time than it costs to build.
 
     The prime at rank i is consulted for about 2**-i of all n, since each
-    earlier prime rejects about half of what reaches it. A scan cut into
-    shards builds each table once, before it forks, so the rule holds for
-    the whole span whatever the shard count.
+    earlier prime rejects about half of what reaches it. Every table is
+    built before the fork, on the path of every shard, and each shard
+    scans about span / shards n with it. Memory counts, at p for every
+    rank (p is largest at the last): the tables, each shard child's down
+    copies of them (`down_bits`) and the temporaries of one such copy in
+    each child, and one build in passing.
     """
-    return p < _TABLE_MAX_PRIME and (span * _POW_SAVING_NS >> rank) > p * _BUILD_NS_PER_ENTRY
+    size = (p + 7) >> 3
+    held = size * ((rank + 1) * shards + (shards - 1) * _DOWN_SIZES + _BUILD_SIZES)
+    return (held <= _TABLE_MEMORY
+            and (span // shards * _POW_SAVING_NS >> rank) > p * _BUILD_NS_PER_ENTRY)
 
 
-def table_ranks(primes: tuple[int, ...], span: int) -> int:
-    """How many leading pool ranks a scan of `span` n tests by table: those
-    where `table_pays` holds. Since the rule falls with rank, they are a
-    prefix of the pool, and since a scan's span is below its primes, at
-    most about log2(_POW_SAVING_NS / _BUILD_NS_PER_ENTRY) ranks long."""
+def table_ranks(primes: tuple[int, ...], span: int, shards: int = 1) -> int:
+    """How many leading pool ranks a scan of `span` n on `shards` shards
+    tests by table: those where `table_pays` holds. Since the rule falls
+    with rank, they are a prefix of the pool, and since a scan's span is
+    below its primes, at most about log2(_POW_SAVING_NS /
+    _BUILD_NS_PER_ENTRY) ranks long."""
     width = 0
-    while width < len(primes) and table_pays(primes[width], width, span):
+    while width < len(primes) and table_pays(primes[width], width, span, shards):
         width += 1
     return width
 
@@ -105,39 +125,65 @@ def nonresidue_bits(p: int) -> bytes:
     Indexed by the residue r = n! mod p itself, so a lookup needs no add.
     Bit p - 1 (r + 1 == p, symbol 0) is clear.
     """
-    # flags[a] = 1 iff a is a nonresidue, for 1 <= a < p. Euler's
-    # criterion settles a <= sqrt(p). Above it, s = p // a and t = p - a*s
-    # give a*s == -t (mod p) with s, t < a, so a's flag is t's flag,
-    # flipped when exactly one of -1 and s is a nonresidue. For one s, a
-    # runs over (p / (s + 1), p / s] while t falls by s: one strided slice
-    # of flags already set, about sqrt(p) slices in all.
-    flags = bytearray(p)
-    half = (p - 1) >> 1
+    # flags[a] = 1 iff a is a nonresidue, for 1 <= a <= h = (p - 1) / 2.
+    # Euler's criterion settles the primes up to sqrt(p), and a composite
+    # there gets the xor of two factors' flags. Above sqrt(p), s = p // a
+    # and t = p - a*s give a*s == -t (mod p) with s, t < a, so a's flag is
+    # t's flag, flipped when exactly one of -1 and s is a nonresidue: one
+    # by one up to 3 sqrt(p), where one s covers at most about 9 a, then
+    # for each s, as a runs over (p / (s + 1), p / s] while t falls by s,
+    # as one strided slice of flags already set.
+    h = (p - 1) >> 1
     root = math.isqrt(p)
-    for a in range(2, root + 1):
-        if pow(a, half, p) != 1:
-            flags[a] = 1
+    flags = bytearray(h + 1)
+    factor = [0] * (root + 1)
+    for a in range(2, min(root, h) + 1):
+        q = factor[a]
+        if q:
+            flags[a] = flags[q] ^ flags[a // q]
+        else:
+            flags[a] = pow(a, h, p) != 1
+            if a * a <= root:
+                factor[a * a::a] = [a] * ((root - a * a) // a + 1)
     minus_one = p & 3 == 3
-    lo = root + 1
-    while lo < p:
-        s = p // lo
-        hi = min(p // s, p - 1)
-        flip = minus_one ^ flags[s]
-        for a in range(lo, hi + 1, _SLICE_BYTES):
+    singles = min(3 * root, h)
+    for a in range(root + 1, singles + 1):
+        s = p // a
+        flags[a] = flags[p - a * s] ^ flags[s] ^ minus_one
+    for s in range(p // (singles + 1), 1, -1):
+        hi = min(p // s, h)
+        for a in range(p // (s + 1) + 1, hi + 1, _SLICE_BYTES):
             b = min(a + _SLICE_BYTES, hi + 1)
             t = p - a * s
             # t, t - s, ..., down to the t of a = b - 1, which is >= 1
             block = flags[t:t - (b - a - 1) * s - 1:-s]
-            flags[a:b] = block.translate(_FLIP) if flip else block
-        lo = hi + 1
-    # Bit r is flags[r + 1]. Lane k (flags k + 1, k + 9, ...) read as one
-    # little-endian integer and shifted by k moves each flag to bit k of
-    # its own byte; the eight lanes never overlap. Bit p - 1 would be
-    # flags[p], past the end, so it stays clear.
-    packed = 0
-    for k in range(8):
-        packed |= int.from_bytes(flags[k + 1::8], "little") << k
-    return packed.to_bytes((p + 7) >> 3, "little")
+            flags[a:b] = block.translate(_FLIP) if minus_one ^ flags[s] else block
+    # Bit r < h is flags[r + 1]. In each slice of flags, lane k (flags k +
+    # 1, k + 9, ...) read as one little-endian integer and shifted by k
+    # moves each flag to bit k of its own byte; the eight lanes never
+    # overlap.
+    low = bytearray((h + 7) >> 3)
+    for c in range(1, h + 1, 8 * _SLICE_BYTES):
+        end = min(c + 8 * _SLICE_BYTES, h + 1)
+        packed = 0
+        for k in range(8):
+            packed |= int.from_bytes(flags[c + k:end:8], "little") << k
+        low[c >> 3:(end + 6) >> 3] = packed.to_bytes((end - c + 7) >> 3, "little")
+    del flags
+    # Bit h + r, r < h, is flags[h - r], flipped when -1 is a nonresidue,
+    # since (p - a | p) = (-1 | p)(a | p): the h low bits reversed. The
+    # bytes of `low` reversed, each bit-reversed (and complemented), hold
+    # them at the top, above 8 * len(low) - h padding bits; shifted to bit
+    # k of byte j, where bit h falls, they fill the table from byte j on,
+    # once byte j's k low bits are the last of `low`. Bit p - 1 = 2h stays
+    # clear.
+    k, j = h & 7, h >> 3
+    high = int.from_bytes(low[::-1].translate(_REVERSE_NOT if minus_one else _REVERSE), "little")
+    shift = (8 - k) % 8 - k
+    high = high >> shift if shift >= 0 else high << -shift
+    if k:
+        high ^= (high & ((1 << k) - 1)) ^ low[j]
+    return b"".join((memoryview(low)[:j], high.to_bytes(((p + 7) >> 3) - j, "little")))
 
 
 def down_bits(table: bytes, p: int) -> bytes:
@@ -150,8 +196,11 @@ def down_bits(table: bytes, p: int) -> bytes:
     which are bits u - 1 and u - 2 of the up table. Bits 0 and 1 (a
     product of 0) stay clear.
     """
-    packed = int.from_bytes(table, "little")
-    down = ((packed << 1) ^ (packed << 2)) & ((1 << p) - 1)
+    down = int.from_bytes(table, "little")
+    down ^= down << 1
+    down <<= 1
+    # bit p, from bit p - 2, is the one bit at or past p that can be set
+    down ^= down >> p << p
     return down.to_bytes(len(table), "little")
 
 

@@ -18,12 +18,12 @@ which inherits the tables. Every child scans its range down from its top
 with the down tables (`qr_filter.down_bits`), from n! mod the pool
 product at that top (`seed_state`, from whichever end of the pool is
 nearer). The stream crosses every boundary between layers as n! mod the
-pool product. A child sends back over a pipe one record per piece of its
-range, top piece first: the survivors, n! at the piece's top and the
-rejection counts. The calling process settles every
+pool product. Once its range is scanned, a child sends back over a pipe
+one record per piece of it, top piece first: the survivors, n! at the
+piece's top and the rejection counts. The calling process settles every
 survivor, delivers every event and writes every checkpoint, in ascending
-n, exactly as a one-process run would; it takes a child's pieces once all
-of them are in. While children run, SIGTERM raises SystemExit in the
+n, exactly as a one-process run would; it reads a child's pieces once its
+own shard is done. While children run, SIGTERM raises SystemExit in the
 calling process, so they are killed and reaped on the way out.
 
 Determinism is a hard requirement: for a fixed pool, the reported
@@ -290,8 +290,10 @@ def run(config: SearchConfig, on_event: EventCallback = _drop_event) -> SearchSu
             save_checkpoint(FactorialState(n=hi, residue=residue), pool,
                             config.checkpoint_path)
 
-    tables = [nonresidue_bits(p) for p in pool.primes[:table_ranks(pool.primes, stop - start)]]
-    bounds = _shard_bounds(start, stop, _shard_count(stop - start), pool.primes[-1])
+    count = _shard_count(stop - start)
+    tables = [nonresidue_bits(p)
+              for p in pool.primes[:table_ranks(pool.primes, stop - start, count)]]
+    bounds = _shard_bounds(start, stop, count, pool.primes[-1])
     children: list[_Child] = []
     restore = None
     try:
@@ -349,26 +351,34 @@ def _shard_bounds(start: int, stop: int, count: int, top: int) -> list[int]:
 
     The cuts may fall anywhere; they balance wall time. The tables are
     built before any shard starts, so they drop out of the balance. Shard
-    0 scans up from `start`. Every later shard scans down from its top
-    c_{k+1}, after a start priced at _SEED_COST per factor from c_{k+1}
-    + 1 to `top`, the last pool prime. That is an upper bound: the start
-    (`seed_state`) multiplies the fewer factors of that side and of
-    2 .. c_{k+1}, so a child whose top lies below top / 2 starts sooner
-    than priced. With keep = 1 - _SEED_COST the depths d_k = top - c_k,
-    counted down from d_count = top - stop, are d_k = t + keep * d_{k+1},
-    where t gives shard 0, c_1 - start, the same cost. A cut that would
-    not fall strictly between its neighbours is dropped, with its shard.
+    0 scans up from `start`. Every later shard scans down from its top hi
+    = c_{k+1}, after a start (`seed_state`) that multiplies the fewer
+    factors of 2 .. hi and hi + 1 .. `top`, the last pool prime, each
+    priced at _SEED_COST. Every shard costs t when c_1 = start + t and,
+    counted down from c_count = stop, c_k = c_{k+1} - t + _SEED_COST *
+    min(c_{k+1}, top - c_{k+1}). As t grows c_1 falls and start + t
+    rises, so bisection finds the t where they meet. A cut that would not
+    fall strictly between its neighbours is dropped, with its shard.
     """
-    keep = 1 - _SEED_COST
-    t = ((top - start - keep ** (count - 1) * (top - stop))
-         / (1 + sum(keep ** j for j in range(count - 1))))
-    cuts, depth = [stop], top - stop
-    for _ in range(count - 1):
-        depth = t + keep * depth
-        cut = round(top - depth)
-        if start < cut < cuts[-1]:
-            cuts.append(cut)
-    return [start] + cuts[::-1]
+    def cuts(t: float) -> list[float]:
+        points = [stop]
+        for _ in range(count - 1):
+            hi = points[-1]
+            points.append(hi - t + _SEED_COST * min(hi, top - hi))
+        return points
+
+    low, high = 0.0, float(stop - start + top)
+    for _ in range(100):
+        t = (low + high) / 2
+        if cuts(t)[-1] > start + t:
+            low = t
+        else:
+            high = t
+    kept = [stop]
+    for cut in map(round, cuts(t)[1:]):
+        if start < cut < kept[-1]:
+            kept.append(cut)
+    return [start] + kept[::-1]
 
 
 def _segment_ends(lo: int, hi: int) -> Iterator[int]:
@@ -377,11 +387,6 @@ def _segment_ends(lo: int, hi: int) -> Iterator[int]:
     while lo < hi:
         lo = min(hi, (lo // CHECKPOINT_INTERVAL + 1) * CHECKPOINT_INTERVAL)
         yield lo
-
-
-def _send(pipe: BinaryIO, record: object) -> None:
-    marshal.dump(record, pipe)
-    pipe.flush()
 
 
 def _fork_shard(pool: PrimePool, tables: list[bytes], lo: int, hi: int) -> "_Child":
@@ -405,28 +410,35 @@ def _scan_shard(pool: PrimePool, tables: list[bytes], lo: int, hi: int,
     """Body of a shard child: scan lo + 1 .. hi down from hi!, the
     `seed_state` at hi, with down tables derived from the inherited ones.
 
-    Sends one marshal record per piece, top piece first, (survivors, n!
-    mod the pool product at its top, rejection counts), or a one-line
-    error message, into write_fd. Ends with os._exit, so it never returns
-    or raises into the caller's stack and never flushes stdio buffers
-    inherited from the parent.
+    Once the range is scanned, writes one marshal record per piece, top
+    piece first, (survivors, n! mod the pool product at its top,
+    rejection counts), then, if the scan raised, a one-line error
+    message, into write_fd. The parent reads a child's records only once
+    its own shard is done, so a child that wrote as it went would stall
+    on a full pipe until then (64 KB holds about 160 records at max_n
+    10**8). Ends with os._exit, so it never returns or raises into the
+    caller's stack and never flushes stdio buffers inherited from the
+    parent.
     """
     code = 1
     try:
         os.close(parent_fd)
+        records: list[object] = []
+        try:
+            residue = seed_state(pool, hi).residue
+            tables = [down_bits(table, p) for table, p in zip(tables, pool.primes)]
+            edges = [lo, *_segment_ends(lo, hi)][::-1]
+            for top, bottom in zip(edges, edges[1:]):
+                survivors, below, counts = scan_piece(pool, tables, top, residue, bottom)
+                # the residue a checkpoint at the piece's top needs
+                records.append((survivors, residue, counts))
+                residue = below
+            code = 0
+        except Exception as exc:
+            records.append(" ".join(f"{type(exc).__name__}: {exc}".split()))
         with open(write_fd, "wb") as pipe:
-            try:
-                residue = seed_state(pool, hi).residue
-                tables = [down_bits(table, p) for table, p in zip(tables, pool.primes)]
-                edges = [lo, *_segment_ends(lo, hi)][::-1]
-                for top, bottom in zip(edges, edges[1:]):
-                    survivors, below, counts = scan_piece(pool, tables, top, residue, bottom)
-                    # the residue a checkpoint at the piece's top needs
-                    _send(pipe, (survivors, residue, counts))
-                    residue = below
-                code = 0
-            except Exception as exc:
-                _send(pipe, " ".join(f"{type(exc).__name__}: {exc}".split()))
+            for record in records:
+                marshal.dump(record, pipe)
     finally:
         os._exit(code)
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -13,6 +14,7 @@ from brocard.factorial_engine import (
     FactorialState,
     build_prime_pool,
     primes_above,
+    seed_state,
 )
 from brocard.qr_filter import (
     down_bits,
@@ -227,27 +229,91 @@ def test_nonresidue_bits_agree_with_legendre_below_2_24(bits, offset, picks):
         assert table[r >> 3] >> (r & 7) & 1 == (legendre((r + 1) % p, p) == -1), (p, r)
 
 
-def test_table_side_follows_segment_length():
-    # the benchmark's three search shapes: a 10^6 scan and a 3 * 10^4
-    # settle build tables for every leading prime; resuming the last 10^4 n
-    # of a 10^6 scan builds one, for rank 0
-    scan = build_prime_pool(1_000_000, 3).primes
-    settle = build_prime_pool(30_600, 3).primes
-    assert all(table_pays(p, i, 1_000_000) for i, p in enumerate(scan))
+# past the old 2**24 table cap and up to near 2**26: the first prime of
+# each class mod 4 above 2**24 and above 2**26 - 2**21
+_PAST_THE_OLD_CAP = [next(p for p in primes_above(start) if p % 4 == cls)
+                     for start in (2**24, 2**26 - 2**21) for cls in (1, 3)]
+
+
+@pytest.mark.parametrize("p", _PAST_THE_OLD_CAP)
+def test_nonresidue_bits_agree_with_legendre_past_2_24(p):
+    # the ends, the seam between the lower half of flags and its reversed
+    # copy at bit h, and random residues
+    assert 2**24 < p < 2**26
+    h = (p - 1) // 2
+    rng = random.Random(p)
+    table = nonresidue_bits(p)
+    assert len(table) == (p + 7) >> 3
+    assert int.from_bytes(table, "little") >> (p - 1) == 0
+    for r in [0, 1, *range(h - 9, h + 10), p - 2, p - 1, *(rng.randrange(p) for _ in range(64))]:
+        assert table[r >> 3] >> (r & 7) & 1 == (legendre((r + 1) % p, p) == -1), (p, r)
+
+
+def test_pieces_with_tables_past_2_24():
+    # a pool above 2**24 with every rank tested by table, up and down from
+    # either end's seed_state, against `passes` n by n
+    pool = build_prime_pool(2**24, 3)
+    assert pool.primes[0] > 2**24
+    modulus = math.prod(pool.primes)
+    lo, hi = 2**24 - 400, 2**24
+    up = [nonresidue_bits(p) for p in pool.primes]
+    down = [down_bits(table, p) for table, p in zip(up, pool.primes)]
+    start = residue = seed_state(pool, lo).residue
+    survivors, counts = [], Counter()
+    for n in range(lo + 1, hi + 1):
+        residue = residue * n % modulus
+        outcome = passes(FactorialState(n=n, residue=residue), pool)
+        if outcome.passed:
+            survivors.append(n)
+        else:
+            counts[outcome.rejecting_prime] += 1
+    assert residue == seed_state(pool, hi).residue
+    assert survivors and len(counts) == 3
+    assert scan_piece(pool, up, lo, start, hi) == (survivors, residue, dict(counts))
+    assert scan_piece(pool, down, hi, residue, lo) == (survivors, start, dict(counts))
+
+
+def test_table_side_follows_segment_length(monkeypatch):
+    # the benchmark's three search shapes: a 10^6 scan on 2 shards and a
+    # 3 * 10^4 settle on one build tables for every leading prime; resuming
+    # the last 10^4 n of a 10^6 scan (one shard) builds three, for ranks 0
+    # to 2
+    scan = build_prime_pool(1_000_000, 4).primes
+    settle = build_prime_pool(30_600, 4).primes
+    assert all(table_pays(p, i, 1_000_000, 2) for i, p in enumerate(scan))
     assert all(table_pays(p, i, 30_600) for i, p in enumerate(settle))
-    assert [table_pays(p, i, 10_000) for i, p in enumerate(scan)] == [True, False, False]
-    # whatever the span, no table past the size cap
-    assert not table_pays(2**31 - 1, 0, 2**32)
-    # the tabled ranks are those that pay: 8 for the scan, the whole pool
-    # for the settle shape, 1 for the resume one, all of a smaller pool
-    assert table_ranks(build_prime_pool(1_000_000, 48).primes, 1_000_000) == 8
+    assert [table_pays(p, i, 10_000) for i, p in enumerate(scan)] == [True, True, True, False]
+    # the tabled ranks are those that pay: 9 for the scan, the whole pool
+    # for the settle shape, 3 for the resume one, all of a smaller pool
+    assert table_ranks(build_prime_pool(1_000_000, 48).primes, 1_000_000, 2) == 9
     assert table_ranks(build_prime_pool(30_600, 8).primes, 30_600) == 8
-    assert table_ranks(build_prime_pool(1_000_000, 48).primes, 10_000) == 1
-    assert table_ranks(build_prime_pool(1_000_000, 2).primes, 1_000_000) == 2
-    # past the loop's 4 slots a table still pays at 10**6, up to rank 7
-    ranks = build_prime_pool(1_000_000, 9).primes
-    assert table_pays(ranks[4], 4, 1_000_000)
-    assert table_pays(ranks[7], 7, 1_000_000) and not table_pays(ranks[8], 8, 1_000_000)
+    assert table_ranks(build_prime_pool(1_000_000, 48).primes, 10_000) == 3
+    assert table_ranks(build_prime_pool(1_000_000, 2).primes, 1_000_000, 2) == 2
+    # past the loop's 4 slots a table still pays at 10**6, up to rank 8
+    ranks = build_prime_pool(1_000_000, 10).primes
+    assert table_pays(ranks[4], 4, 1_000_000, 2)
+    assert table_pays(ranks[8], 8, 1_000_000, 2) and not table_pays(ranks[9], 9, 1_000_000, 2)
+    # memory, not a size cap, bounds the tables. 2**31 - 1 pays for its
+    # build on one shard or two, but on two the child's down copy and its
+    # temporaries no longer fit. A scan to 10**8 on 2 shards tests 9 ranks
+    # by table, one to 10**9 five, where time alone would give 9.
+    size = 2**28  # bytes in the table of 2**31 - 1
+    assert size * (1 + qr_filter._BUILD_SIZES) <= qr_filter._TABLE_MEMORY
+    assert size * (2 + qr_filter._DOWN_SIZES + qr_filter._BUILD_SIZES) > qr_filter._TABLE_MEMORY
+    assert table_pays(2**31 - 1, 0, 2**32) and not table_pays(2**31 - 1, 0, 2**32, 2)
+    assert table_ranks(build_prime_pool(10**8, 12).primes, 10**8, 2) == 9
+    billion = build_prime_pool(10**9, 12).primes
+    assert table_ranks(billion, 10**9, 2) == 5
+    monkeypatch.setattr(qr_filter, "_TABLE_MEMORY", 1 << 40)
+    assert table_ranks(billion, 10**9, 2) == 9
+
+
+def test_shards_price_fewer_ranks():
+    # every table is built before the fork, on every shard's path, and
+    # saves each shard only its share of the span: the same span pays for
+    # fewer ranks the more shards it is cut into
+    primes = build_prime_pool(1_000_000, 48).primes
+    assert [table_ranks(primes, 1_000_000, shards) for shards in (1, 2, 4)] == [10, 9, 8]
 
 
 @settings(max_examples=80, deadline=None)
@@ -267,16 +333,17 @@ def test_kernel_matches_reference(size, max_n, side, data):
     pool = build_prime_pool(max_n, size)
     p0 = pool.primes[0]
     start = data.draw(st.integers(0, max_n - 1), label="start")
-    # spans within reach of the pow side, or long enough for a table
+    # on the table side spans long enough for a table, with the tables a
+    # scan of the span builds; on the pow side any span, with no table
     spans = [s for s in range(1, min(max_n - start, 400) + 1)
-             if table_pays(p0, 0, s) == (side == "table")]
+             if side == "pow" or table_pays(p0, 0, s)]
     if not spans:
         return
     stop = start + data.draw(st.sampled_from(spans), label="span")
     cuts = sorted(set(data.draw(st.lists(st.integers(start + 1, stop), max_size=4),
                                 label="cuts")) | {stop})
 
-    tables = _tables(pool, stop - start)
+    tables = _tables(pool, stop - start) if side == "table" else []
     reference = _reference(pool, start + 1, stop)
     lo, residue = start, _exact_state(pool, start).residue
     pieces = []

@@ -196,24 +196,38 @@ def test_shard_bounds_balance_seeding_off_the_grid():
     seed = search_engine._SEED_COST
     for start, stop, count, top in [(0, 1_000_123, 2, 1_000_737), (250, 10_000, 4, 10_103),
                                     (40_000, 700_000, 3, 700_001), (0, 1_000_123, 4, 1_000_737),
-                                    (990_000, 1_000_123, 2, 1_000_737), (0, 600_000, 2, 1_000_737)]:
+                                    (990_000, 1_000_123, 2, 1_000_737), (0, 600_000, 2, 1_000_737),
+                                    (0, 300_000, 2, 1_000_619), (0, 300_000, 3, 1_000_619),
+                                    (0, 700_000, 4, 1_000_619), (100_000, 500_000, 2, 1_000_619)]:
         bounds = search_engine._shard_bounds(start, stop, count, top)
         assert bounds[0] == start and bounds[-1] == stop and len(bounds) == count + 1
         assert bounds == sorted(set(bounds))
         # shard 0 scans on from start, and every later shard scans down
-        # from its top hi after a start whose factors run from hi + 1 to
-        # top: every shard costs what shard 0 does, up to rounding
-        costs = [hi - lo + seed * (top - hi) * (k > 0)
+        # from its top hi after a start of min(hi, top - hi) factors, up
+        # from 1 or down from top: every shard costs what shard 0 does, up
+        # to rounding
+        costs = [hi - lo + seed * min(hi, top - hi) * (k > 0)
                  for k, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
         assert max(costs) - min(costs) < 2
-        # the children get more n the nearer their top is to the pool's,
-        # and none as many as shard 0, which starts for free
+        # no child gets as many n as shard 0, which starts for free; of the
+        # children priced from the top, the nearer its top is to the pool's,
+        # the more n a child gets
         sizes = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
-        assert sizes[1:] == sorted(sizes[1:]) and max(sizes[1:]) < sizes[0]
+        assert max(sizes[1:]) < sizes[0]
+        high = [size for size, hi in zip(sizes[1:], bounds[2:]) if hi > top - hi]
+        assert high == sorted(high)
     # with 2 shards the 10**6 scan is cut near its middle, where the
     # balance falls, not on the 10**5 grid, and where the cut fell when
-    # only the last shard scanned down
+    # only the last shard scanned down; so are the benchmark's scan and
+    # resume shapes
     assert search_engine._shard_bounds(0, 1_000_123, 2, 1_000_737) == [0, 500_117, 1_000_123]
+    assert search_engine._shard_bounds(0, 1_000_007, 2, 1_000_619) == [0, 500_059, 1_000_007]
+    assert search_engine._shard_bounds(990_007, 1_000_007, 2, 1_000_619) == [
+        990_007, 995_062, 1_000_007]
+    # stopped at 3 * 10**5 of 10**6 the child starts up from 1, 3 * 10**5
+    # factors, so the cut falls at (300000 + 0.18 * 300000) / 2, not at
+    # the 213056 that a start down from the top would give
+    assert search_engine._shard_bounds(0, 300_000, 2, 1_000_619) == [0, 177_000, 300_000]
     # a span too short for every shard keeps the cuts that fall strictly
     # inside it
     assert search_engine._shard_bounds(0, 2, 4, 2) == [0, 1, 2]
@@ -253,12 +267,57 @@ def test_rank_shares_halve_with_rank(monkeypatch):
     summary = run(SearchConfig(max_n=300_000))
     scanned = 300_000 - 1
     pool = build_prime_pool(300_000, 48)
-    assert table_ranks(pool.primes, scanned + 1) == 8
-    for k, p in enumerate(pool.primes[:8]):
+    assert table_ranks(pool.primes, scanned + 1, 2) == 9
+    for k, p in enumerate(pool.primes[:9]):
         share = 2.0 ** -(k + 1)
         expected = scanned * share
         sigma = math.sqrt(scanned * share * (1 - share))
         assert abs(summary.rejections_by_prime.get(p, 0) - expected) < 5 * sigma, (k, p)
+
+
+def test_run_prices_tables_per_shard(monkeypatch):
+    # the scan builds its tables before it forks, for the ranks that pay on
+    # one shard's share of the span: fewer on 2 shards than on 1
+    built = []
+    make = search_engine.nonresidue_bits
+    monkeypatch.setattr(search_engine, "nonresidue_bits", lambda p: built.append(p) or make(p))
+    primes = build_prime_pool(3000, 48).primes
+    for shards, ranks in [(1, 10), (2, 9)]:
+        built.clear()
+        _scan(monkeypatch, SearchConfig(max_n=3000), shards)
+        assert table_ranks(primes, 3000, shards) == ranks
+        assert built == list(primes[:ranks])
+
+
+def test_child_scans_its_range_before_the_parent_reads(tmp_path, monkeypatch):
+    # The parent reads a child's records only after its own shard. A child
+    # with more records than a pipe holds (64 KB; here about 1500 pieces
+    # of one n) must still scan its whole range meanwhile, not stall on a
+    # full pipe: the parent's last piece waits for the child's.
+    monkeypatch.setattr(search_engine, "CHECKPOINT_INTERVAL", 1)
+    config = SearchConfig(max_n=3000)
+    _, clean = _scan(monkeypatch, config, 1)
+    cut = search_engine._shard_bounds(0, 3000, 2, build_prime_pool(3000, 48).primes[-1])[1]
+    parent = os.getpid()
+    done = tmp_path / "child-done"
+    waited = []
+    scan_piece = search_engine.scan_piece
+
+    def meet_at_the_cut(pool, tables, start, residue, end):
+        if os.getpid() == parent and end == cut:
+            deadline = time.monotonic() + 30
+            while not done.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            waited.append(done.exists())
+        record = scan_piece(pool, tables, start, residue, end)
+        if os.getpid() != parent and end == cut:
+            done.touch()
+        return record
+
+    monkeypatch.setattr(search_engine, "scan_piece", meet_at_the_cut)
+    _, log = _scan(monkeypatch, config, 2)
+    assert waited == [True]
+    assert log == clean
 
 
 def _cli_search(*extra):
