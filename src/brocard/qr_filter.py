@@ -42,8 +42,8 @@ _BUILD_NS_PER_ENTRY = 3
 # Memory, in table sizes (p / 8 bytes): a build passes through 3.5 more
 # than the table it makes, mostly its p / 2 flag bytes, and `down_bits`
 # through 2.2 more than the copy it makes (tracemalloc peaks near 10**8).
+# A scan runs one of them at a time.
 _BUILD_SIZES = 4
-_DOWN_SIZES = 3
 # A scan builds no table that would take its tables past this many bytes.
 _TABLE_MEMORY = 1 << 31
 
@@ -96,12 +96,13 @@ def table_pays(p: int, rank: int, span: int, shards: int = 1) -> bool:
     earlier prime rejects about half of what reaches it. Every table is
     built before the fork, on the path of every shard, and each shard
     scans about span / shards n with it. Memory counts, at p for every
-    rank (p is largest at the last): the tables, each shard child's down
-    copies of them (`down_bits`) and the temporaries of one such copy in
-    each child, and one build in passing.
+    rank (p is largest at the last): the up tables, their down set
+    (`down_bits`, derived once before the fork and shared by every shard
+    child) when the scan forks, and one build or derivation in passing,
+    whatever the shard count.
     """
     size = (p + 7) >> 3
-    held = size * ((rank + 1) * shards + (shards - 1) * _DOWN_SIZES + _BUILD_SIZES)
+    held = size * ((rank + 1) * (2 if shards > 1 else 1) + _BUILD_SIZES)
     return (held <= _TABLE_MEMORY
             and (span // shards * _POW_SAVING_NS >> rank) > p * _BUILD_NS_PER_ENTRY)
 

@@ -12,17 +12,19 @@ and, given a path, progress is checkpointed to a small text file so a
 scan can be killed and resumed without rework.
 
 A long range is cut into shards, one per available core. The calling
-process builds the kernel's nonresidue tables, then runs the first shard
-itself, up from the scan's start, and forks a child for each later one,
-which inherits the tables. Every child scans its range down from its top
-with the down tables (`qr_filter.down_bits`), from n! mod the pool
-product at that top (`seed_state`, from whichever end of the pool is
-nearer). The stream crosses every boundary between layers as n! mod the
-pool product. Once its range is scanned, a child sends back over a pipe
-one record per piece of it, top piece first: the survivors, n! at the
-piece's top and the rejection counts. The calling process settles every
-survivor, delivers every event and writes every checkpoint, in ascending
-n, exactly as a one-process run would; it reads a child's pieces once its
+process builds the kernel's nonresidue tables and, when the scan forks,
+derives their down set (`qr_filter.down_bits`) once. It forks a child
+for each shard but the first, and every child inherits that one down
+set copy-on-write; then it drops its own reference and runs the first
+shard itself, up from the scan's start. Every child scans its range down
+from its top with the down set, from n! mod the pool product at that top
+(`seed_state`, from whichever end of the pool is nearer). The stream
+crosses every boundary between layers as n! mod the pool product. Once
+its range is scanned, a child sends back over a pipe one record per
+piece of it, top piece first: the survivors, n! at the piece's top and
+the rejection counts. The calling process settles every survivor,
+delivers every event and writes every checkpoint, in ascending n,
+exactly as a one-process run would; it reads a child's pieces once its
 own shard is done. While children run, SIGTERM raises SystemExit in the
 calling process, so they are killed and reaped on the way out.
 
@@ -299,8 +301,11 @@ def run(config: SearchConfig, on_event: EventCallback = _drop_event) -> SearchSu
     try:
         if len(bounds) > 2:
             restore = _raise_on_sigterm()
+            down = [down_bits(table, p) for table, p in zip(tables, pool.primes)]
             for lo, hi in zip(bounds[1:-1], bounds[2:]):
-                children.append(_fork_shard(pool, tables, lo, hi))
+                children.append(_fork_shard(pool, down, lo, hi))
+            # every child holds the down set; this process never scans down
+            del down
         lo = start
         for hi in _segment_ends(start, bounds[1]):
             record = scan_piece(pool, tables, lo, residue, hi)
@@ -390,8 +395,9 @@ def _segment_ends(lo: int, hi: int) -> Iterator[int]:
 
 
 def _fork_shard(pool: PrimePool, tables: list[bytes], lo: int, hi: int) -> "_Child":
-    """Fork a shard child to scan lo + 1 .. hi with `tables`, which it
-    inherits. One pipe carries its records to the parent."""
+    """Fork a shard child to scan lo + 1 .. hi with the down tables
+    `tables`, which it inherits. One pipe carries its records to the
+    parent."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -408,7 +414,7 @@ def _fork_shard(pool: PrimePool, tables: list[bytes], lo: int, hi: int) -> "_Chi
 def _scan_shard(pool: PrimePool, tables: list[bytes], lo: int, hi: int,
                 parent_fd: int, write_fd: int) -> NoReturn:
     """Body of a shard child: scan lo + 1 .. hi down from hi!, the
-    `seed_state` at hi, with down tables derived from the inherited ones.
+    `seed_state` at hi, with the inherited down tables as they are.
 
     Once the range is scanned, writes one marshal record per piece, top
     piece first, (survivors, n! mod the pool product at its top,
@@ -426,7 +432,6 @@ def _scan_shard(pool: PrimePool, tables: list[bytes], lo: int, hi: int,
         records: list[object] = []
         try:
             residue = seed_state(pool, hi).residue
-            tables = [down_bits(table, p) for table, p in zip(tables, pool.primes)]
             edges = [lo, *_segment_ends(lo, hi)][::-1]
             for top, bottom in zip(edges, edges[1:]):
                 survivors, below, counts = scan_piece(pool, tables, top, residue, bottom)

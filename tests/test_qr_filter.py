@@ -293,17 +293,18 @@ def test_table_side_follows_segment_length(monkeypatch):
     ranks = build_prime_pool(1_000_000, 10).primes
     assert table_pays(ranks[4], 4, 1_000_000, 2)
     assert table_pays(ranks[8], 8, 1_000_000, 2) and not table_pays(ranks[9], 9, 1_000_000, 2)
-    # memory, not a size cap, bounds the tables. 2**31 - 1 pays for its
-    # build on one shard or two, but on two the child's down copy and its
-    # temporaries no longer fit. A scan to 10**8 on 2 shards tests 9 ranks
-    # by table, one to 10**9 five, where time alone would give 9.
+    # memory, not a size cap, bounds the tables: one up set, one down set
+    # once the scan forks, and one build in passing, whatever the shard
+    # count. 2**31 - 1 pays and fits on one shard or two, its up and down
+    # tables and one build's temporaries. A scan to 10**8 on 2 shards tests
+    # 9 ranks by table, one to 10**9 six on 2 to 4 shards, where time alone
+    # would give 9.
     size = 2**28  # bytes in the table of 2**31 - 1
-    assert size * (1 + qr_filter._BUILD_SIZES) <= qr_filter._TABLE_MEMORY
-    assert size * (2 + qr_filter._DOWN_SIZES + qr_filter._BUILD_SIZES) > qr_filter._TABLE_MEMORY
-    assert table_pays(2**31 - 1, 0, 2**32) and not table_pays(2**31 - 1, 0, 2**32, 2)
+    assert size * (2 + qr_filter._BUILD_SIZES) <= qr_filter._TABLE_MEMORY
+    assert table_pays(2**31 - 1, 0, 2**32) and table_pays(2**31 - 1, 0, 2**32, 2)
     assert table_ranks(build_prime_pool(10**8, 12).primes, 10**8, 2) == 9
     billion = build_prime_pool(10**9, 12).primes
-    assert table_ranks(billion, 10**9, 2) == 5
+    assert [table_ranks(billion, 10**9, s) for s in (1, 2, 3, 4)] == [10, 6, 6, 6]
     monkeypatch.setattr(qr_filter, "_TABLE_MEMORY", 1 << 40)
     assert table_ranks(billion, 10**9, 2) == 9
 

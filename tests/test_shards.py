@@ -289,6 +289,34 @@ def test_run_prices_tables_per_shard(monkeypatch):
         assert built == list(primes[:ranks])
 
 
+def test_down_tables_are_derived_once_before_the_fork(tmp_path, monkeypatch):
+    # the parent derives one down set before it forks and every child scans
+    # with it as inherited: each tabled rank is derived exactly once,
+    # whatever the shard count, and never in a child, and a one-shard scan,
+    # which never scans down, derives none. The calls are logged to a file,
+    # since a child's would run in another process.
+    monkeypatch.setattr(search_engine, "CHECKPOINT_INTERVAL", 97)
+    log = tmp_path / "derived"
+    down_bits = search_engine.down_bits
+
+    def logged(table, p):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {p}\n")
+        return down_bits(table, p)
+
+    monkeypatch.setattr(search_engine, "down_bits", logged)
+    primes = build_prime_pool(3000, 48).primes
+    config = SearchConfig(max_n=3000, checkpoint_path=str(tmp_path / "scan.ck"))
+    one = _scan(monkeypatch, config, 1)
+    assert not log.exists()
+    for shards in (2, 3, 4):
+        assert _scan(monkeypatch, config, shards) == one, shards
+        calls = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+        ranks = table_ranks(primes, 3000, shards)
+        assert ranks and calls == [(os.getpid(), p) for p in primes[:ranks]], shards
+        log.unlink()
+
+
 def test_child_scans_its_range_before_the_parent_reads(tmp_path, monkeypatch):
     # The parent reads a child's records only after its own shard. A child
     # with more records than a pipe holds (64 KB; here about 1500 pieces
