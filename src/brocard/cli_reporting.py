@@ -8,7 +8,8 @@ rejecting prime is re-checked as its certificate, as a last defense
 against engine bugs.
 
 Exit codes: 0 success, 1 usage error or an unreadable report line on
-resume, 2 internal or resource error (a failed scan shard or a report
+resume, 2 internal or resource error (a failed scan shard, a shard whose
+residue at its cut disagrees with the one from below, or a report
 missing on resume among them), 3 checkpoint mismatch.
 """
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from collections import Counter
 from typing import IO, NamedTuple
@@ -142,6 +144,12 @@ class ReportWriter:
 
     def emit_event(self, kind: str, n: int, m: int | None = None,
                    rejecting_prime: int | None = None) -> None:
+        """Write one event's line. A "checkpoint" event writes none: it
+        puts a report file on disk before the checkpoint that covers it."""
+        if kind == "checkpoint":
+            if self._owns:
+                os.fsync(self._stream.fileno())
+            return
         self.emit(ReportLine(kind=kind, n=n, m=m, rejecting_prime=rejecting_prime))
 
     def write_summary(self, scanned: int) -> None:

@@ -225,12 +225,13 @@ def scan_piece(pool: PrimePool, tables: list[bytes], start: int, residue: int,
     Front: the first min(len(tables), _FRONT_WIDTH) of them each carry
     r = the stream mod p, looked up in its table on every n and then
     advanced by one multiplication: by the next n up, by this n down.
-    Behind it the packed stream R is multiplied to n only for the n that
-    pass the front (and to `end` at the end), then the primes past the
-    front are tested one by one: by r = R mod p and a table lookup while
-    tables last, by Euler's criterion on r + 1 (up) or u (u - 1) (down)
-    after. Primes are tested in pool order, so the rejecting prime counted
-    is the first in pool order, as with `passes`.
+    Behind it the packed stream R is caught up, in either direction by one
+    product of the n between, only to the n that pass the front (and to
+    `end` at the end). Then the primes past the front are tested one by
+    one from one list: by r = R mod p and a table lookup while tables
+    last, by Euler's criterion on r + 1 (up) or u (u - 1) (down) after.
+    Primes are tested in pool order, so the rejecting prime counted is the
+    first in pool order, as with `passes`.
     """
     primes = pool.primes
     down = end < start
@@ -259,10 +260,9 @@ def scan_piece(pool: PrimePool, tables: list[bytes], start: int, residue: int,
     r0, r1, r2, r3 = [front % p for p in moduli]
     c0 = c1 = c2 = c3 = 0
     tail = primes[width:]
-    # (tail rank, p, table) while tables last, then (tail rank, p, (p - 1) / 2)
-    tabled = len(tables) - width
-    tail_tables = [(i, p, table) for i, (p, table) in enumerate(zip(tail, tables[width:]))]
-    tail_pows = [(i, p, (p - 1) >> 1) for i, p in enumerate(tail[tabled:], tabled)]
+    # (tail rank, p, its table while tables last, else None, (p - 1) / 2)
+    tests = [(i, p, table, (p - 1) >> 1) for i, (p, table) in
+             enumerate(zip(tail, [*tables[width:], *[None] * len(tail)]))]
     counts = [0] * len(tail)
     survivors: list[int] = []
     packed, packed_n = residue, start
@@ -276,38 +276,27 @@ def scan_piece(pool: PrimePool, tables: list[bytes], start: int, residue: int,
         elif t3[r3 >> 3] >> (r3 & 7) & 1:
             c3 += 1
         else:
-            # m, the n tested, and the factors between it and the packed
-            # stream's n
-            if down:
-                m = n
-                packed = packed * perm(packed_n, packed_n - m) % modulus
-            else:
-                m = n - 1
-                packed = packed * perm(m, m - packed_n) % modulus
+            # m, the n tested; the factors between it and the packed
+            # stream's n are max(m, packed_n) down to min(m, packed_n) + 1
+            m = n if down else n - 1
+            packed = packed * perm(max(m, packed_n), abs(m - packed_n)) % modulus
             packed_n = m
-            for i, p, table in tail_tables:
+            for i, p, table, half in tests:
                 r = packed % p
-                if table[r >> 3] >> (r & 7) & 1:
+                if (table[r >> 3] >> (r & 7) & 1 if table is not None else
+                        pow(r * (r - 1) if down else r + 1, half, p) == p - 1):
                     counts[i] += 1
                     break
             else:
-                for i, p, half in tail_pows:
-                    r = packed % p
-                    if pow(r * (r - 1) if down else r + 1, half, p) == p - 1:
-                        counts[i] += 1
-                        break
-                else:
-                    survivors.append(m)
+                survivors.append(m)
         r0 = r0 * n % p0
         r1 = r1 * n % p1
         r2 = r2 * n % p2
         r3 = r3 * n % p3
+    packed = packed * perm(max(end, packed_n), abs(end - packed_n)) % modulus
     if down:
         survivors.reverse()
-        packed = packed * perm(packed_n, packed_n - lo) % modulus
         packed = -pow(packed, -1, modulus) % modulus
-    else:
-        packed = packed * perm(hi, hi - packed_n) % modulus
     # a padded slot never rejects, so its count stays 0
     return survivors, packed, {p: c for p, c in zip(
         moduli + list(tail), [c0, c1, c2, c3] + counts) if c}

@@ -22,10 +22,13 @@ from its top with the down set, from n! mod the pool product at that top
 crosses every boundary between layers as n! mod the pool product. Once
 its range is scanned, a child sends back over a pipe one record per
 piece of it, top piece first: the survivors, n! at the piece's top and
-the rejection counts. The calling process settles every survivor,
-delivers every event and writes every checkpoint, in ascending n,
-exactly as a one-process run would; it reads a child's pieces once its
-own shard is done. While children run, SIGTERM raises SystemExit in the
+the rejection counts; then n! at its lower cut, reached down from its
+top. The calling process checks that residue against the one reached
+from below, shard 0's last or the previous child's top, so every cut
+checks two streams computed apart. It settles every survivor, delivers
+every event and writes every checkpoint, in ascending n, exactly as a
+one-process run would; it reads a child's pieces once its own shard is
+done. While children run, SIGTERM raises SystemExit in the
 calling process, so they are killed and reaped on the way out.
 
 Determinism is a hard requirement: for a fixed pool, the reported
@@ -104,7 +107,8 @@ class CheckpointResidueError(CheckpointError):
 
 
 class ShardError(Exception):
-    """A forked scan shard raised, died or sent an unreadable record."""
+    """A forked scan shard raised, died, sent an unreadable record, or
+    reached its lower cut at a residue other than the one from below."""
 
 
 class SearchConfig(NamedTuple):
@@ -240,7 +244,11 @@ def run(config: SearchConfig, on_event: EventCallback = _drop_event) -> SearchSu
 
     Events are delivered in ascending n: ("solution", n, m, None),
     ("survivor", n, None, q) with q the rejecting prime, or None when exact
-    arithmetic settled n, and ("unresolved", n, None, None).
+    arithmetic settled n, ("unresolved", n, None, None), and ("checkpoint",
+    n, None, None) just before a checkpoint at n is saved, once every
+    event up to n is delivered. ShardError if a shard child fails or its
+    residue at its lower cut is not the one reached from below; none of
+    that child's range is settled then.
     """
     if config.resume and not config.checkpoint_path:
         raise ValueError("resume requires a checkpoint path")
@@ -289,13 +297,15 @@ def run(config: SearchConfig, on_event: EventCallback = _drop_event) -> SearchSu
         pending.clear()
         # a checkpoint at max_n off the grid is never written
         if config.checkpoint_path and (hi % CHECKPOINT_INTERVAL == 0 or hi < config.max_n):
+            # what the checkpoint covers goes to disk before it does
+            on_event("checkpoint", hi, None, None)
             save_checkpoint(FactorialState(n=hi, residue=residue), pool,
                             config.checkpoint_path)
 
-    count = _shard_count(stop - start)
+    bounds = _shard_bounds(start, stop, _shard_count(stop - start), pool.primes[-1])
+    # priced on the shards that run: _shard_bounds may drop cuts
     tables = [nonresidue_bits(p)
-              for p in pool.primes[:table_ranks(pool.primes, stop - start, count)]]
-    bounds = _shard_bounds(start, stop, count, pool.primes[-1])
+              for p in pool.primes[:table_ranks(pool.primes, stop - start, len(bounds) - 1)]]
     children: list[_Child] = []
     restore = None
     try:
@@ -312,8 +322,9 @@ def run(config: SearchConfig, on_event: EventCallback = _drop_event) -> SearchSu
             end_piece(hi, *record)
             lo, residue = hi, record[1]
         for child in children:
-            for hi, record in child.pieces():
+            for hi, record in child.pieces(residue):
                 end_piece(hi, *record)
+                residue = record[1]
             child.reap()
     finally:
         for child in children:
@@ -418,8 +429,8 @@ def _scan_shard(pool: PrimePool, tables: list[bytes], lo: int, hi: int,
 
     Once the range is scanned, writes one marshal record per piece, top
     piece first, (survivors, n! mod the pool product at its top,
-    rejection counts), then, if the scan raised, a one-line error
-    message, into write_fd. The parent reads a child's records only once
+    rejection counts), then lo! mod the pool product or, if the scan
+    raised, a one-line error message, into write_fd. The parent reads a child's records only once
     its own shard is done, so a child that wrote as it went would stall
     on a full pipe until then (64 KB holds about 160 records at max_n
     10**8). Ends with os._exit, so it never returns or raises into the
@@ -438,6 +449,8 @@ def _scan_shard(pool: PrimePool, tables: list[bytes], lo: int, hi: int,
                 # the residue a checkpoint at the piece's top needs
                 records.append((survivors, residue, counts))
                 residue = below
+            # lo!, reached down from hi, for the parent to check at the cut
+            records.append(residue)
             code = 0
         except Exception as exc:
             records.append(" ".join(f"{type(exc).__name__}: {exc}".split()))
@@ -479,8 +492,9 @@ class _Child:
     def _fail(self, reason: str) -> NoReturn:
         raise ShardError(f"scan shard n={self.lo + 1}..{self.hi}: {reason}")
 
-    def receive(self) -> "tuple[list[int], int, dict[int, int]]":
-        """The child's next piece; ShardError if it failed or died first."""
+    def receive(self) -> "tuple[list[int], int, dict[int, int]] | int":
+        """The child's next record, a piece or, last, its residue at lo;
+        ShardError if it failed or died first."""
         try:
             record = marshal.load(self.pipe)
         except (EOFError, ValueError, TypeError):
@@ -491,12 +505,17 @@ class _Child:
             self._fail(record)
         return record
 
-    def pieces(self) -> Iterator[tuple[int, "tuple[list[int], int, dict[int, int]]"]]:
-        """(top, record) for each piece of the child's range, ascending.
-        The records come top first, so all of them are read before the
-        first is yielded."""
+    def pieces(self, below: int) -> Iterator[tuple[int, "tuple[list[int], int, dict[int, int]]"]]:
+        """(top, record) for each piece of the child's range, ascending,
+        once the child's residue at lo, reached down from its top, is
+        `below`, lo! reached from below; ShardError if not. The records
+        come top first, so all of them are read before the first is
+        yielded."""
         tops = list(_segment_ends(self.lo, self.hi))
-        return zip(tops, reversed([self.receive() for _ in tops]))
+        records = [self.receive() for _ in tops]
+        if self.receive() != below:
+            self._fail(f"its residue at n={self.lo} disagrees with the one from below")
+        return zip(tops, reversed(records))
 
     def reap(self) -> int:
         _, status = os.waitpid(self.pid, 0)

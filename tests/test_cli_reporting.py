@@ -544,11 +544,13 @@ def test_checkpoint_with_a_wrong_residue_exits_3(tmp_path, capsys, stop_n):
     assert report.read_bytes() == b""
 
 
-@pytest.mark.parametrize("n_line", ["n=5\u00e9".encode(), b"n=" + b"1" * 5000],
-                         ids=["non-ASCII byte", "number past int's digit limit"])
+@pytest.mark.parametrize("n_line", ["n=5\u00e9".encode(), b"n=" + b"1" * 5000, b"count=1000"],
+                         ids=["non-ASCII byte", "number past int's digit limit",
+                              "bad field line"])
 def test_unreadable_checkpoint_body_exits_3(tmp_path, capsys, n_line):
     # the checksum holds over a body no checkpoint writer makes: a byte
-    # that is not ASCII, or a number longer than int() reads from a string
+    # that is not ASCII, a number longer than int() reads from a string,
+    # or a field line under another name
     import zlib
 
     from brocard.factorial_engine import build_prime_pool

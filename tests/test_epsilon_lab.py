@@ -155,6 +155,20 @@ def test_nine_run_cap_reports_lower_bound(monkeypatch):
     assert not exact.nine_run_is_lower_bound
 
 
+def test_nine_run_doubles_its_window_up_to_the_cap(monkeypatch):
+    # from a 1-digit window: 1 digit is all 9s, so are 2, and 4 show the
+    # run of 2 (eps = 0.9929...), exactly
+    monkeypatch.setattr(epsilon_lab, "NINE_RUN_START", 1)
+    doubled = _nine_run(7)
+    assert (doubled.nine_run, doubled.digits_computed) == (2, 4)
+    assert not doubled.nine_run_is_lower_bound
+    # a cap of 2 stops the doubling at 2 digits, both 9s: a lower bound
+    monkeypatch.setattr(epsilon_lab, "NINE_RUN_CAP", 2)
+    capped = _nine_run(7)
+    assert (capped.nine_run, capped.digits_computed) == (2, 2)
+    assert capped.nine_run_is_lower_bound
+
+
 def test_nine_run_respects_bit_budget(monkeypatch):
     monkeypatch.setattr(exact_arith, "BIT_BUDGET", 100)
     with pytest.raises(BitBudgetError):

@@ -229,6 +229,42 @@ def test_checkpoint_rejects_structural_nonsense(tmp_path):
         load_checkpoint(path, pool)
 
 
+@pytest.mark.parametrize("case,error,message", [
+    ("checksum line", CheckpointChecksumError, "malformed checksum line"),
+    ("field line", CheckpointFormatError, "bad field line 'count=4'"),
+    ("pair line", CheckpointFormatError, "bad pair line '59;'"),
+    ("prime count", CheckpointFormatError, "prime count disagrees with pair lines"),
+    ("pool prime", CheckpointPoolMismatchError, "pool prime 60 does not match expected 59"),
+])
+def test_checkpoint_refusals_under_a_valid_crc(tmp_path, case, error, message):
+    # each body is sealed with its own CRC, so the load gets past the
+    # checksum (or, for the checksum line itself, finds the right value in
+    # a line of the wrong shape) and refuses on what it checks next
+    import zlib
+
+    pool, state = _pool_and_state()
+    lines = ["BROCARD-CHECKPOINT v1", "max_n=50", "n=10", "primes=4"]
+    lines += [f"{p},{state.residue % p}" for p in pool.primes]
+    assert pool.primes[1] == 59
+    seal = b"crc32=%08x\n"
+    if case == "checksum line":
+        seal = b"crc32=%08x \n"
+    elif case == "field line":
+        lines[3] = "count=4"
+    elif case == "pair line":
+        lines[5] = "59;"
+    elif case == "prime count":
+        lines[3] = "primes=5"
+    else:
+        lines[5] = lines[5].replace("59,", "60,")
+    body = ("\n".join(lines) + "\n").encode("ascii")
+    path = tmp_path / "scan.ck"
+    path.write_bytes(body + seal % zlib.crc32(body))
+    with pytest.raises(error) as info:
+        load_checkpoint(str(path), pool)
+    assert str(info.value) == f"{path}: {message}"
+
+
 def test_checkpoint_written_at_interval(tmp_path, monkeypatch):
     monkeypatch.setattr(search_engine, "CHECKPOINT_INTERVAL", 40)
     path = str(tmp_path / "scan.ck")
@@ -286,7 +322,11 @@ def test_resume_equivalence(tmp_path, monkeypatch):
     assert part2.resumed_from == 500
     assert part2.scanned_range == (501, 1000)
 
-    assert events1 + events2 == full_events
+    # the stopped run saves one more checkpoint than the uninterrupted one,
+    # which saves none, and each save comes with its event
+    checkpoints = [event for event in events1 + events2 if event[0] == "checkpoint"]
+    assert checkpoints == [("checkpoint", 500, None), ("checkpoint", 1000, None)]
+    assert [event for event in events1 + events2 if event[0] != "checkpoint"] == full_events
     assert part1.survivors + part2.survivors == full_summary.survivors
     assert part1.solutions + part2.solutions == full_summary.solutions
     merged = dict(part1.rejections_by_prime)

@@ -275,7 +275,7 @@ def test_rank_shares_halve_with_rank(monkeypatch):
         assert abs(summary.rejections_by_prime.get(p, 0) - expected) < 5 * sigma, (k, p)
 
 
-def test_run_prices_tables_per_shard(monkeypatch):
+def test_run_prices_tables_per_shard(tmp_path, monkeypatch):
     # the scan builds its tables before it forks, for the ranks that pay on
     # one shard's share of the span: fewer on 2 shards than on 1
     built = []
@@ -287,6 +287,18 @@ def test_run_prices_tables_per_shard(monkeypatch):
         _scan(monkeypatch, SearchConfig(max_n=3000), shards)
         assert table_ranks(primes, 3000, shards) == ranks
         assert built == list(primes[:ranks])
+    # priced on the shards that run: 4 cores would take 4 shards of these
+    # 61 n, but every cut falls outside the range, so one shard runs and
+    # its tables are a one-shard scan's
+    ck = str(tmp_path / "scan.ck")
+    run(SearchConfig(max_n=3000, checkpoint_path=ck, stop_n=300))
+    _force_shards(monkeypatch, 4)
+    _, pids = _record(monkeypatch)
+    built.clear()
+    run(SearchConfig(max_n=3000, checkpoint_path=ck, resume=True, stop_n=361))
+    assert pids == [] and search_engine._shard_count(61) == 4
+    assert table_ranks(primes, 61, 4) == 2 and table_ranks(primes, 61, 1) == 4
+    assert built == list(primes[:4])
 
 
 def test_down_tables_are_derived_once_before_the_fork(tmp_path, monkeypatch):
@@ -353,6 +365,41 @@ def _cli_search(*extra):
     return dispatch(args)
 
 
+@pytest.mark.parametrize("shards", [1, 2])
+def test_report_reaches_the_disk_before_each_checkpoint(tmp_path, monkeypatch, shards):
+    # After an OS crash a checkpoint must not claim an n whose report lines
+    # were lost: every checkpoint's rename follows an fsync of the report
+    # made once its last line was written.
+    monkeypatch.setattr(search_engine, "CHECKPOINT_INTERVAL", 100)
+    _force_shards(monkeypatch, shards)
+    report, ck = tmp_path / "report.jsonl", str(tmp_path / "scan.ck")
+    log = []
+    fsync, replace = os.fsync, os.replace
+
+    def logged_fsync(fd):
+        fsync(fd)
+        log.append(("fsync", os.fstat(fd).st_ino, os.fstat(fd).st_size))
+
+    def logged_replace(src, dst):
+        replace(src, dst)
+        log.append(("replace", dst, report.stat().st_size))
+
+    monkeypatch.setattr(os, "fsync", logged_fsync)
+    monkeypatch.setattr(os, "replace", logged_replace)
+    assert _cli_search("--checkpoint", ck, "--report", str(report)) == 0
+    inode = report.stat().st_ino
+    synced = None
+    renames = []
+    for what, target, size in log:
+        if what == "fsync" and target == inode:
+            synced = size
+        elif what == "replace" and target == ck:
+            renames.append(size)
+            assert synced == size, (len(renames), synced, size)
+    # 20 checkpoints, each after more survivor lines
+    assert len(renames) == 20 and len(set(renames)) == 20
+
+
 def test_cli_report_and_checkpoint_bytes_match_one_process(tmp_path, monkeypatch, capsys):
     # to a report file and to stdout, with a checkpoint every 250 n
     monkeypatch.setattr(search_engine, "CHECKPOINT_INTERVAL", 250)
@@ -398,6 +445,41 @@ def _fail_in_child(monkeypatch, at, how):
 # piece of the child, which scans down from 3000.
 _CUT = search_engine._shard_bounds(0, 3000, 2, build_prime_pool(3000, 2).primes[-1])[1]
 _SPLIT_END = _CUT // 100 * 100 + 100
+
+
+def test_a_child_whose_residue_drifts_fails_at_its_cut(tmp_path, monkeypatch):
+    # The child's residue at its lower cut, reached down from its top, is
+    # checked against shard 0's, reached up from 1. A drifting packed
+    # stream in one down piece (its end residue off by one factor) fails
+    # the scan before any of the child's range is settled.
+    ck = str(tmp_path / "scan.ck")
+    monkeypatch.setattr(search_engine, "CHECKPOINT_INTERVAL", 100)
+    config = SearchConfig(max_n=3000, pool_size=2, checkpoint_path=ck)
+    _, clean = _scan(monkeypatch, config, 1)
+    pool = build_prime_pool(3000, 2)
+    modulus = math.prod(pool.primes)
+    parent = os.getpid()
+    scan_piece = search_engine.scan_piece
+
+    def drifting(pool, tables, start, residue, end):
+        survivors, below, counts = scan_piece(pool, tables, start, residue, end)
+        if os.getpid() != parent and start == 3000:
+            below = below * 2 % modulus
+        return survivors, below, counts
+
+    _force_shards(monkeypatch, 2)
+    log, pids = _record(monkeypatch)
+    monkeypatch.setattr(search_engine, "scan_piece", drifting)
+    with pytest.raises(ShardError) as info:
+        run(config, on_event=lambda *event: log.append(event))
+    assert str(info.value) == (f"scan shard n={_CUT + 1}..3000: its residue at n={_CUT} "
+                               "disagrees with the one from below")
+    _assert_reaped(pids)
+    # nothing of the child's range is out, as with a child that fails
+    last_checkpoint = _CUT // 100 * 100
+    checkpoints = [entry for entry in clean if isinstance(entry, bytes)]
+    assert _checkpoint_positions(log)[-1] == last_checkpoint
+    assert log == clean[:clean.index(checkpoints[last_checkpoint // 100 - 1]) + 1]
 
 
 @pytest.mark.parametrize("how", ["raise", "kill"])
