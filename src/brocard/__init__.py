@@ -40,6 +40,7 @@ _SUBMODULE = {
         "CeilingError",
         "FactorialState",
         "PrimePool",
+        "StreamError",
         "build_prime_pool",
         "factorial_exact",
         "is_factorial",

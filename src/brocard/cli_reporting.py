@@ -8,9 +8,10 @@ rejecting prime is re-checked as its certificate, as a last defense
 against engine bugs.
 
 Exit codes: 0 success, 1 usage error or an unreadable report line on
-resume, 2 internal or resource error (a failed scan shard, a shard whose
-residue at its cut disagrees with the one from below, or a report
-missing on resume among them), 3 checkpoint mismatch.
+resume, 2 internal or resource error (a failed scan shard, a residue
+stream that fails a run-time check at a shard cut, at a piece's end or
+at the scan's top, or a report missing on resume among them), 3
+checkpoint mismatch.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from . import __version__, conditions
 from .epsilon_lab import (NINE_RUN_START, RATIO_GUARD, FactorialRoot, admit_exact,
                           epsilon_digits, k_ratio_digits, log_factorial, nine_run)
 from .exact_arith import BitBudgetError, decimal_str
-from .factorial_engine import EXACT_FACTORIAL_CEILING, CeilingError, is_factorial
+from .factorial_engine import EXACT_FACTORIAL_CEILING, CeilingError, StreamError, is_factorial
 from .search_engine import (
     DEFAULT_POOL_SIZE,
     CheckpointError,
@@ -430,7 +431,7 @@ def dispatch(argv: list[str] | None = None) -> int:
     except CheckpointError as exc:
         print(f"checkpoint: {exc}", file=sys.stderr)
         return 3
-    except ShardError as exc:
+    except (ShardError, StreamError) as exc:
         print(f"search: {exc}", file=sys.stderr)
         return 2
     except (BitBudgetError, CeilingError) as exc:

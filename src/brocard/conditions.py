@@ -90,22 +90,15 @@ def legendre_certificate(n: int, budget: int = CERTIFICATE_PRIMES) -> int | None
 
 
 def is_certificate(n: int, q: int) -> bool:
-    """Whether q is the certificate the search emits for n.
-
-    That is the first odd prime q > n with (n! + 1 | q) = -1, so it is
-    unique: a composite q, q <= n, a prime at which n! + 1 is a residue or
-    zero, and a later rejecting prime are all refused. The primes above n
-    are walked in order and the walk stops at the first that rejects, so
-    a forged q costs no more than the true one.
+    """Whether q is the certificate the search emits for n: the first odd
+    prime q > n with (n! + 1 | q) = -1 among the CERTIFICATE_PRIMES
+    smallest above n (`legendre_certificate`), so it is unique. A
+    composite q, q <= n, a prime at which n! + 1 is a residue or zero, a
+    later rejecting prime and any q for a solution are all refused. A
+    forged q costs no more symbols than the true one, and at most
+    CERTIFICATE_PRIMES for a solution.
     """
-    if n < 0:
-        return False
-    for p in primes_above(n):
-        if p > q:
-            return False
-        if residue_symbol(n, p) == -1:
-            return p == q
-    raise AssertionError("primes_above is endless")
+    return n >= 0 and legendre_certificate(n) == q
 
 
 def verify(n: int, *, certify: int = 0) -> VerifyReport:

@@ -8,6 +8,8 @@ digit once printed never changes when more precision is requested.
 from __future__ import annotations
 
 import math
+# the exact layer's integer square root, imported from here by its users
+from math import isqrt
 
 # Largest operand, in bits, that sqrt_digits will build.
 BIT_BUDGET = 1 << 26
@@ -48,15 +50,8 @@ def decimal_str(v: int) -> str:
     """str(v) for any non-negative int, regardless of conversion limits."""
     if v < 0:
         raise ValueError("v must be non-negative")
-    if v.bit_length() <= 12000:
-        return str(v)
     width = v.bit_length() * 30103 // 100000 + 2
     return _dec_padded(v, width).lstrip("0") or "0"
-
-
-def isqrt(x: int) -> int:
-    """Floor of the square root of a non-negative integer."""
-    return math.isqrt(x)
 
 
 class ScaledDecimal:

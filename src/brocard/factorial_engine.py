@@ -63,6 +63,12 @@ class FactorialState(NamedTuple):
     residue: int
 
 
+class StreamError(Exception):
+    """A residue stream disagrees with an independent derivation of the
+    same position: a scan piece's front with its packed stream, or a
+    completed scan's last residue with Wilson's theorem at its top."""
+
+
 def primes_above(n: int) -> Iterator[int]:
     """The odd primes strictly greater than n, in increasing order."""
     c = max(n + 1, 3) | 1

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .factorial_engine import FactorialState, PrimePool
+from .factorial_engine import FactorialState, PrimePool, StreamError
 
 # Scan loop slots, each streaming one front prime and testing it by its
 # nonresidue table (the loop is written out for exactly this many). A
@@ -231,7 +231,9 @@ def scan_piece(pool: PrimePool, tables: list[bytes], start: int, residue: int,
     one from one list: by r = R mod p and a table lookup while tables
     last, by Euler's criterion on r + 1 (up) or u (u - 1) (down) after.
     Primes are tested in pool order, so the rejecting prime counted is the
-    first in pool order, as with `passes`.
+    first in pool order, as with `passes`. StreamError if the front and
+    the packed stream, multiplied apart, end the piece at different
+    residues.
     """
     primes = pool.primes
     down = end < start
@@ -294,6 +296,13 @@ def scan_piece(pool: PrimePool, tables: list[bytes], start: int, residue: int,
         r2 = r2 * n % p2
         r3 = r3 * n % p3
     packed = packed * perm(max(end, packed_n), abs(end - packed_n)) % modulus
+    # The front, multiplied apart from the packed stream, must end at its
+    # value: at u down, one factor past `end` up (at 2! for an empty piece
+    # at 0). Padded slots compare 0 with 0.
+    at = packed if down else packed * max(end + 1, 2)
+    if [r0, r1, r2, r3] != [at % p for p in moduli]:
+        raise StreamError(f"the front of the piece {start}..{end} disagrees "
+                          "with its packed stream")
     if down:
         survivors.reverse()
         packed = -pow(packed, -1, modulus) % modulus

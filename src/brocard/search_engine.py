@@ -25,11 +25,15 @@ piece of it, top piece first: the survivors, n! at the piece's top and
 the rejection counts; then n! at its lower cut, reached down from its
 top. The calling process checks that residue against the one reached
 from below, shard 0's last or the previous child's top, so every cut
-checks two streams computed apart. It settles every survivor, delivers
-every event and writes every checkpoint, in ascending n, exactly as a
-one-process run would; it reads a child's pieces once its own shard is
-done. While children run, SIGTERM raises SystemExit in the
-calling process, so they are killed and reaped on the way out.
+checks two streams computed apart. A scan that runs to max_n in one
+shard has no cut: its last residue is checked against `seed_state` at
+max_n, from the top of the pool. Every piece checks its front against
+its packed stream (`scan_piece`). The calling process settles every
+survivor, delivers every event and writes every checkpoint, in
+ascending n, exactly as a one-process run would; it reads a child's
+pieces once its own shard is done. While children run, SIGTERM raises
+SystemExit in the calling process, so they are killed and reaped on
+the way out.
 
 Determinism is a hard requirement: for a fixed pool, the reported
 stream, all counters and every checkpoint are identical whether the scan
@@ -53,6 +57,7 @@ from .factorial_engine import (
     CeilingError,
     FactorialState,
     PrimePool,
+    StreamError,
     build_prime_pool,
     seed_state,
 )
@@ -248,7 +253,10 @@ def run(config: SearchConfig, on_event: EventCallback = _drop_event) -> SearchSu
     n, None, None) just before a checkpoint at n is saved, once every
     event up to n is delivered. ShardError if a shard child fails or its
     residue at its lower cut is not the one reached from below; none of
-    that child's range is settled then.
+    that child's range is settled then. StreamError if a piece's front
+    leaves its packed stream, or if a scan run in one shard to max_n ends
+    at a residue other than max_n! by Wilson's theorem; that last segment
+    is then neither settled nor checkpointed.
     """
     if config.resume and not config.checkpoint_path:
         raise ValueError("resume requires a checkpoint path")
@@ -319,6 +327,12 @@ def run(config: SearchConfig, on_event: EventCallback = _drop_event) -> SearchSu
         lo = start
         for hi in _segment_ends(start, bounds[1]):
             record = scan_piece(pool, tables, lo, residue, hi)
+            # A scan whose own pieces reach max_n runs no child, so no cut
+            # checks its stream: its top is checked against Wilson's
+            # theorem (p_last - max_n factors) before that segment is out.
+            if hi == config.max_n and record[1] != seed_state(pool, hi).residue:
+                raise StreamError(f"the scan's residue at its top n={hi} is not "
+                                  f"{hi}! mod the pool primes")
             end_piece(hi, *record)
             lo, residue = hi, record[1]
         for child in children:

@@ -460,6 +460,37 @@ def test_resource_errors_exit_2(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_a_survivor_whose_prime_is_not_its_certificate_exits_2(tmp_path, monkeypatch,
+                                                                capsys):
+    verify = conditions.verify
+
+    def forging(n, *, certify=0):
+        report = verify(n, certify=certify)
+        q = report.rejecting_prime
+        return report if q is None else report._replace(rejecting_prime=q + 2)
+
+    monkeypatch.setattr(conditions, "verify", forging)
+    report = tmp_path / "scan.jsonl"
+    assert dispatch(["search", "--max-n", "2000", "--primes", "2",
+                     "--report", str(report)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "report integrity: rejecting_prime does not certify the survivor: ")
+    kinds = {json.loads(raw)["kind"] for raw in report.read_text().splitlines()}
+    assert kinds <= {"solution"}
+
+
+def test_an_internal_error_prints_its_traceback_and_exits_2(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setattr(cli_reporting, "_cmd_verify", broken)
+    assert dispatch(["verify", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("Traceback (most recent call last):\n")
+    assert captured.err.endswith("RuntimeError: injected fault\n")
+
+
 @pytest.mark.parametrize("argv", [["epsilon", "4000000"],
                                   ["table", "--from", "4000000", "--to", "4000000"],
                                   ["table", "--from", "1", "--to", "4000000"],

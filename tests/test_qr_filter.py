@@ -12,6 +12,7 @@ from brocard import qr_filter
 from brocard.exact_arith import is_prime_64, legendre
 from brocard.factorial_engine import (
     FactorialState,
+    StreamError,
     build_prime_pool,
     primes_above,
     seed_state,
@@ -384,3 +385,24 @@ def test_down_pieces_match_up_pieces(size, max_n, ranks, data):
     survivors, residue, counts = scan_piece(pool, up, lo, lo_factorial, hi)
     assert residue == math.factorial(hi) % modulus
     assert scan_piece(pool, down, hi, residue, lo) == (survivors, lo_factorial, counts)
+
+
+@pytest.mark.parametrize("down", [False, True], ids=["up", "down"])
+def test_a_drifting_packed_stream_fails_its_piece(monkeypatch, down):
+    """The front residues are multiplied apart from the packed residue that
+    crosses pieces, and each piece compares them at its end. A catch-up
+    product of two or more factors gone wrong (the front multiplies one
+    factor at a time) fails the piece instead of returning a wrong
+    record."""
+    pool = build_prime_pool(3000, 8)
+    up = [nonresidue_bits(p) for p in pool.primes[:2]]
+    tables = [down_bits(table, p) for table, p in zip(up, pool.primes)] if down else up
+    start, end = (3000, 1000) if down else (1000, 3000)
+    residue = math.factorial(start) % math.prod(pool.primes)
+    survivors, _, counts = scan_piece(pool, tables, start, residue, end)
+    # n pass the two-table front and reach the packed tail
+    assert survivors and set(counts) - set(pool.primes[:2])
+    perm = math.perm
+    monkeypatch.setattr(math, "perm", lambda n, k: perm(n, k) * (2 if k >= 2 else 1))
+    with pytest.raises(StreamError, match=f"the front of the piece {start}..{end} disagrees"):
+        scan_piece(pool, tables, start, residue, end)

@@ -3,6 +3,7 @@ counts exactly what a one-process scan does, and fails as a whole."""
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import shutil
@@ -480,6 +481,32 @@ def test_a_child_whose_residue_drifts_fails_at_its_cut(tmp_path, monkeypatch):
     checkpoints = [entry for entry in clean if isinstance(entry, bytes)]
     assert _checkpoint_positions(log)[-1] == last_checkpoint
     assert log == clean[:clean.index(checkpoints[last_checkpoint // 100 - 1]) + 1]
+
+
+def test_a_one_shard_scan_whose_top_drifts_exits_2(tmp_path, monkeypatch, capsys):
+    # A scan with no child meets no cut. Its last residue is checked
+    # against Wilson's theorem at max_n before that segment is settled or
+    # checkpointed, so a drift in its last piece writes no summary and no
+    # checkpoint past the one before.
+    monkeypatch.setattr(search_engine, "CHECKPOINT_INTERVAL", 1000)
+    _force_shards(monkeypatch, 1)
+    pool = build_prime_pool(3000, 2)
+    modulus = math.prod(pool.primes)
+    scan_piece = search_engine.scan_piece
+
+    def drifting(pool, tables, start, residue, end):
+        survivors, below, counts = scan_piece(pool, tables, start, residue, end)
+        return survivors, below * 2 % modulus if end == 3000 else below, counts
+
+    monkeypatch.setattr(search_engine, "scan_piece", drifting)
+    report, ck = tmp_path / "scan.jsonl", str(tmp_path / "scan.ck")
+    assert dispatch(["search", "--max-n", "3000", "--primes", "2", "--checkpoint", ck,
+                     "--report", str(report)]) == 2
+    assert capsys.readouterr().err == ("search: the scan's residue at its top n=3000 is "
+                                       "not 3000! mod the pool primes\n")
+    lines = [json.loads(raw) for raw in report.read_text().splitlines()]
+    assert lines and all(line["kind"] != "summary" and line["n"] <= 2000 for line in lines)
+    assert search_engine.load_checkpoint(ck, pool).n == 2000
 
 
 @pytest.mark.parametrize("how", ["raise", "kill"])

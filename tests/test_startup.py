@@ -23,8 +23,9 @@ EXPORTS = {
                     "epsilon_of_k", "k_ratio_digits", "nine_run"],
     "exact_arith": ["BitBudgetError", "ScaledDecimal", "is_prime_64", "isqrt", "legendre",
                     "sqrt_digits"],
-    "factorial_engine": ["CeilingError", "FactorialState", "PrimePool", "build_prime_pool",
-                         "factorial_exact", "is_factorial", "primes_above", "seed_state"],
+    "factorial_engine": ["CeilingError", "FactorialState", "PrimePool", "StreamError",
+                         "build_prime_pool", "factorial_exact", "is_factorial", "primes_above",
+                         "seed_state"],
     "poly_system": ["LatticePoint", "eval_system", "ferrari_identity_check", "roots_in_x",
                     "solve_window"],
     "qr_filter": ["FilterOutcome", "passes"],
