@@ -59,12 +59,7 @@ _SUBMODULE = {
         "passes",
     ), "qr_filter"),
     **dict.fromkeys((
-        "CheckpointChecksumError",
         "CheckpointError",
-        "CheckpointFormatError",
-        "CheckpointPoolMismatchError",
-        "CheckpointResidueError",
-        "CheckpointVersionError",
         "SearchConfig",
         "SearchSummary",
         "ShardError",

@@ -88,27 +88,7 @@ EventCallback = Callable[[str, int, "int | None", "int | None"], None]
 
 
 class CheckpointError(Exception):
-    """Base for checkpoint load failures. All are fatal."""
-
-
-class CheckpointVersionError(CheckpointError):
-    """First line is not the expected format marker."""
-
-
-class CheckpointChecksumError(CheckpointError):
-    """Stored CRC32 does not match the file body."""
-
-
-class CheckpointPoolMismatchError(CheckpointError):
-    """Checkpoint was written for a different scan or prime pool."""
-
-
-class CheckpointFormatError(CheckpointError):
-    """Checksum holds but a field is structurally invalid."""
-
-
-class CheckpointResidueError(CheckpointError):
-    """Checksum and fields hold but the residues are not n! mod the primes."""
+    """A checkpoint that `load_checkpoint` refuses. All are fatal."""
 
 
 class ShardError(Exception):
@@ -173,24 +153,23 @@ def load_checkpoint(path: str, pool: PrimePool) -> FactorialState:
     Validation order: version marker first, then checksum over the whole
     body, then field structure, then pool identity, then the residues
     themselves, each of which must be the `seed_state` at n mod its
-    prime. Each failure mode raises its own CheckpointError subclass.
+    prime. Each refusal raises CheckpointError, its message naming the
+    check that failed.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     first_line, _, _ = data.partition(b"\n")
     if first_line != _CHECKPOINT_MAGIC:
-        raise CheckpointVersionError(
-            f"{path}: unrecognized header {first_line[:40]!r}"
-        )
+        raise CheckpointError(f"{path}: unrecognized header {first_line[:40]!r}")
     idx = data.rfind(b"\ncrc32=")
     if idx < 0:
-        raise CheckpointChecksumError(f"{path}: checksum line missing")
+        raise CheckpointError(f"{path}: checksum line missing")
     body, tail = data[: idx + 1], data[idx + 1 :]
     m = _CRC_RE.fullmatch(tail)
     if m is None:
-        raise CheckpointChecksumError(f"{path}: malformed checksum line")
+        raise CheckpointError(f"{path}: malformed checksum line")
     if zlib.crc32(body) != int(m.group(1), 16):
-        raise CheckpointChecksumError(f"{path}: checksum mismatch")
+        raise CheckpointError(f"{path}: checksum mismatch")
 
     try:
         # a non-ASCII byte, or a number past int()'s digit limit, raises
@@ -200,38 +179,34 @@ def load_checkpoint(path: str, pool: PrimePool) -> FactorialState:
         for key, line in zip(("max_n", "n", "primes"), lines[1:4]):
             name, eq, value = line.partition("=")
             if name != key or eq != "=" or not value.isdigit():
-                raise CheckpointFormatError(f"{path}: bad field line {line!r}")
+                raise CheckpointError(f"{path}: bad field line {line!r}")
             fields[key] = int(value)
         pairs = []
         for line in lines[4:]:
             left, comma, right = line.partition(",")
             if comma != "," or not left.isdigit() or not right.isdigit():
-                raise CheckpointFormatError(f"{path}: bad pair line {line!r}")
+                raise CheckpointError(f"{path}: bad pair line {line!r}")
             pairs.append((int(left), int(right)))
     except ValueError as exc:
-        raise CheckpointFormatError(f"{path}: unreadable body: {exc}") from None
+        raise CheckpointError(f"{path}: unreadable body: {exc}") from None
     if fields.get("primes") != len(pairs):
-        raise CheckpointFormatError(f"{path}: prime count disagrees with pair lines")
+        raise CheckpointError(f"{path}: prime count disagrees with pair lines")
     if fields["n"] > fields["max_n"]:
-        raise CheckpointFormatError(f"{path}: position n={fields['n']} beyond max_n")
+        raise CheckpointError(f"{path}: position n={fields['n']} beyond max_n")
 
     if fields["max_n"] != pool.max_n:
-        raise CheckpointPoolMismatchError(
-            f"{path}: checkpoint scans to {fields['max_n']}, this scan to {pool.max_n}"
-        )
+        raise CheckpointError(
+            f"{path}: checkpoint scans to {fields['max_n']}, this scan to {pool.max_n}")
     if len(pairs) != len(pool.primes):
-        raise CheckpointPoolMismatchError(
-            f"{path}: pool has {len(pairs)} primes, expected {len(pool.primes)}"
-        )
+        raise CheckpointError(
+            f"{path}: pool has {len(pairs)} primes, expected {len(pool.primes)}")
     for (q, _), p in zip(pairs, pool.primes):
         if q != p:
-            raise CheckpointPoolMismatchError(
-                f"{path}: pool prime {q} does not match expected {p}"
-            )
+            raise CheckpointError(f"{path}: pool prime {q} does not match expected {p}")
     state = seed_state(pool, fields["n"])
     # a wrong residue could make the filter reject a solution
     if any(r != state.residue % p for (p, r) in pairs):
-        raise CheckpointResidueError(
+        raise CheckpointError(
             f"{path}: the residues are not {state.n}! mod the pool primes")
     return state
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -575,17 +576,19 @@ def test_checkpoint_with_a_wrong_residue_exits_3(tmp_path, capsys, stop_n):
     assert report.read_bytes() == b""
 
 
-@pytest.mark.parametrize("n_line", ["n=5\u00e9".encode(), b"n=" + b"1" * 5000, b"count=1000"],
-                         ids=["non-ASCII byte", "number past int's digit limit",
-                              "bad field line"])
-def test_unreadable_checkpoint_body_exits_3(tmp_path, capsys, n_line):
+@pytest.mark.parametrize("n_line,message", [
+    ("n=5\u00e9".encode(), "unreadable body: 'ascii' codec can't decode byte 0xc3"),
+    (b"n=" + b"1" * 5000, "unreadable body: Exceeds the limit (4300"),
+    (b"count=1000", "bad field line 'count=1000'"),
+], ids=["non-ASCII byte", "number past int's digit limit", "bad field line"])
+def test_unreadable_checkpoint_body_exits_3(tmp_path, capsys, n_line, message):
     # the checksum holds over a body no checkpoint writer makes: a byte
     # that is not ASCII, a number longer than int() reads from a string,
     # or a field line under another name
     import zlib
 
     from brocard.factorial_engine import build_prime_pool
-    from brocard.search_engine import CheckpointFormatError, SearchConfig, load_checkpoint, run
+    from brocard.search_engine import CheckpointError, SearchConfig, load_checkpoint, run
 
     ck, report = tmp_path / "scan.ck", tmp_path / "r.jsonl"
     run(SearchConfig(max_n=3000, pool_size=8, checkpoint_path=str(ck), stop_n=1000))
@@ -594,12 +597,11 @@ def test_unreadable_checkpoint_body_exits_3(tmp_path, capsys, n_line):
     lines[2] = n_line
     body = b"\n".join(lines[:-2]) + b"\n"
     ck.write_bytes(body + b"crc32=%08x\n" % zlib.crc32(body))
-    with pytest.raises(CheckpointFormatError):
+    with pytest.raises(CheckpointError, match=re.escape(f"{ck}: {message}")) as refusal:
         load_checkpoint(str(ck), build_prime_pool(3000, 8))
     assert dispatch(["search", "--max-n", "3000", "--primes", "8", "--checkpoint", str(ck),
                      "--report", str(report), "--resume"]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith(f"checkpoint: {ck}: ") and err.count("\n") == 1
+    assert capsys.readouterr().err == f"checkpoint: {refusal.value}\n"
     assert report.read_bytes() == b""
 
 

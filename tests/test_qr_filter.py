@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from brocard import qr_filter
 from brocard.exact_arith import is_prime_64, legendre
 from brocard.factorial_engine import (
+    MAX_SUPPORTED_N,
     FactorialState,
     StreamError,
     build_prime_pool,
@@ -25,6 +26,7 @@ from brocard.qr_filter import (
     table_pays,
     table_ranks,
 )
+from brocard.search_engine import DEFAULT_POOL_SIZE
 
 
 def _exact_state(pool, n):
@@ -250,15 +252,11 @@ def test_nonresidue_bits_agree_with_legendre_past_2_24(p):
         assert table[r >> 3] >> (r & 7) & 1 == (legendre((r + 1) % p, p) == -1), (p, r)
 
 
-def test_pieces_with_tables_past_2_24():
-    # a pool above 2**24 with every rank tested by table, up and down from
-    # either end's seed_state, against `passes` n by n
-    pool = build_prime_pool(2**24, 3)
-    assert pool.primes[0] > 2**24
+def _stepped(pool, lo, hi):
+    """The survivors and rejection counts of n = lo + 1 .. hi from `passes`
+    n by n, stepped up from the seed_state at lo, with lo! and hi! mod the
+    pool product. hi! is checked against the seed_state at hi."""
     modulus = math.prod(pool.primes)
-    lo, hi = 2**24 - 400, 2**24
-    up = [nonresidue_bits(p) for p in pool.primes]
-    down = [down_bits(table, p) for table, p in zip(up, pool.primes)]
     start = residue = seed_state(pool, lo).residue
     survivors, counts = [], Counter()
     for n in range(lo + 1, hi + 1):
@@ -269,9 +267,35 @@ def test_pieces_with_tables_past_2_24():
         else:
             counts[outcome.rejecting_prime] += 1
     assert residue == seed_state(pool, hi).residue
+    return survivors, dict(counts), start, residue
+
+
+def test_pieces_with_tables_past_2_24():
+    # a pool above 2**24 with every rank tested by table, up and down from
+    # either end's seed_state, against `passes` n by n
+    pool = build_prime_pool(2**24, 3)
+    assert pool.primes[0] > 2**24
+    lo, hi = 2**24 - 400, 2**24
+    up = [nonresidue_bits(p) for p in pool.primes]
+    down = [down_bits(table, p) for table, p in zip(up, pool.primes)]
+    survivors, counts, start, end = _stepped(pool, lo, hi)
     assert survivors and len(counts) == 3
-    assert scan_piece(pool, up, lo, start, hi) == (survivors, residue, dict(counts))
-    assert scan_piece(pool, down, hi, residue, lo) == (survivors, start, dict(counts))
+    assert scan_piece(pool, up, lo, start, hi) == (survivors, end, counts)
+    assert scan_piece(pool, down, hi, end, lo) == (survivors, start, counts)
+
+
+@pytest.mark.parametrize("max_n", [10**9, MAX_SUPPORTED_N], ids=["1e9", "ceiling"])
+def test_table_less_window_at_full_scale(max_n):
+    # The last 10**4 n below max_n, scanned down without tables from the
+    # seed_state at the top, as a shard child with no table would, against
+    # `passes` n by n up from the seed_state at the window's low end. At
+    # the ceiling every pool prime is above 2**30, two CPython digits.
+    pool = build_prime_pool(max_n, DEFAULT_POOL_SIZE)
+    assert (pool.primes[0] > 2**30) == (max_n == MAX_SUPPORTED_N)
+    lo = max_n - 10**4
+    survivors, counts, start, end = _stepped(pool, lo, max_n)
+    assert len(counts) > 8
+    assert scan_piece(pool, [], max_n, end, lo) == (survivors, start, counts)
 
 
 def test_table_side_follows_segment_length(monkeypatch):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -11,15 +12,17 @@ from brocard import factorial_engine, search_engine
 from brocard.exact_arith import is_prime_64
 from brocard.factorial_engine import FactorialState, build_prime_pool, seed_state
 from brocard.search_engine import (
-    CheckpointChecksumError,
-    CheckpointFormatError,
-    CheckpointPoolMismatchError,
-    CheckpointVersionError,
+    CheckpointError,
     SearchConfig,
     load_checkpoint,
     run,
     save_checkpoint,
 )
+
+
+def _refusal(path, message):
+    """A `match=` pattern for exactly load_checkpoint's refusal of path."""
+    return f"^{re.escape(f'{path}: {message}')}$"
 
 
 def _collect(config):
@@ -171,13 +174,39 @@ def test_checkpoint_is_plain_text(tmp_path):
         assert line == f"{p},{math.factorial(10) % p}"
 
 
+def test_checkpoint_reaches_the_disk_before_its_rename(tmp_path, monkeypatch):
+    # After an OS crash the rename must not leave a checkpoint whose bytes
+    # were lost: the temp file is fsynced at its final size before
+    # os.replace puts it in place.
+    pool, state = _pool_and_state()
+    path = str(tmp_path / "scan.ck")
+    log = []
+    fsync, replace = os.fsync, os.replace
+
+    def logged_fsync(fd):
+        fsync(fd)
+        log.append(("fsync", os.fstat(fd).st_ino, os.fstat(fd).st_size))
+
+    def logged_replace(src, dst):
+        log.append(("replace", os.stat(src).st_ino, os.stat(src).st_size))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", logged_fsync)
+    monkeypatch.setattr(os, "replace", logged_replace)
+    save_checkpoint(state, pool, path)
+    saved = os.stat(path)
+    assert log[-1] == ("replace", saved.st_ino, saved.st_size)
+    assert ("fsync", saved.st_ino, saved.st_size) in log[:-1]
+
+
 def test_checkpoint_version_rejected_first(tmp_path):
     pool, state = _pool_and_state()
     path = str(tmp_path / "scan.ck")
     save_checkpoint(state, pool, path)
     raw = (tmp_path / "scan.ck").read_bytes()
     (tmp_path / "scan.ck").write_bytes(raw.replace(b"v1", b"v9", 1))
-    with pytest.raises(CheckpointVersionError):
+    with pytest.raises(CheckpointError,
+                       match=_refusal(path, "unrecognized header b'BROCARD-CHECKPOINT v9'")):
         load_checkpoint(path, pool)
 
 
@@ -189,7 +218,7 @@ def test_checkpoint_checksum_detects_corruption(tmp_path):
     flip = raw.index(b"n=") + 2
     raw[flip] = raw[flip] ^ 1 | 0x30  # keep it a digit, change its value
     (tmp_path / "scan.ck").write_bytes(bytes(raw))
-    with pytest.raises(CheckpointChecksumError):
+    with pytest.raises(CheckpointError, match=_refusal(path, "checksum mismatch")):
         load_checkpoint(path, pool)
 
 
@@ -199,7 +228,7 @@ def test_checkpoint_missing_checksum_line(tmp_path):
     save_checkpoint(state, pool, path)
     raw = (tmp_path / "scan.ck").read_bytes()
     (tmp_path / "scan.ck").write_bytes(raw.rsplit(b"crc32=", 1)[0])
-    with pytest.raises(CheckpointChecksumError):
+    with pytest.raises(CheckpointError, match=_refusal(path, "checksum line missing")):
         load_checkpoint(path, pool)
 
 
@@ -208,10 +237,11 @@ def test_checkpoint_pool_mismatch(tmp_path):
     path = str(tmp_path / "scan.ck")
     save_checkpoint(state, pool, path)
     other_size = build_prime_pool(50, 5)
-    with pytest.raises(CheckpointPoolMismatchError):
+    with pytest.raises(CheckpointError, match=_refusal(path, "pool has 4 primes, expected 5")):
         load_checkpoint(path, other_size)
     other_scan = build_prime_pool(60, 4)
-    with pytest.raises(CheckpointPoolMismatchError):
+    with pytest.raises(CheckpointError,
+                       match=_refusal(path, "checkpoint scans to 50, this scan to 60")):
         load_checkpoint(path, other_scan)
 
 
@@ -225,18 +255,18 @@ def test_checkpoint_rejects_structural_nonsense(tmp_path):
     lines += [f"{p},{state.residue % p}" for p in pool.primes]
     body = ("\n".join(lines) + "\n").encode()
     (tmp_path / "scan.ck").write_bytes(body + b"crc32=%08x\n" % zlib.crc32(body))
-    with pytest.raises(CheckpointFormatError):
+    with pytest.raises(CheckpointError, match=_refusal(path, "position n=60 beyond max_n")):
         load_checkpoint(path, pool)
 
 
-@pytest.mark.parametrize("case,error,message", [
-    ("checksum line", CheckpointChecksumError, "malformed checksum line"),
-    ("field line", CheckpointFormatError, "bad field line 'count=4'"),
-    ("pair line", CheckpointFormatError, "bad pair line '59;'"),
-    ("prime count", CheckpointFormatError, "prime count disagrees with pair lines"),
-    ("pool prime", CheckpointPoolMismatchError, "pool prime 60 does not match expected 59"),
+@pytest.mark.parametrize("case,message", [
+    ("checksum line", "malformed checksum line"),
+    ("field line", "bad field line 'count=4'"),
+    ("pair line", "bad pair line '59;'"),
+    ("prime count", "prime count disagrees with pair lines"),
+    ("pool prime", "pool prime 60 does not match expected 59"),
 ])
-def test_checkpoint_refusals_under_a_valid_crc(tmp_path, case, error, message):
+def test_checkpoint_refusals_under_a_valid_crc(tmp_path, case, message):
     # each body is sealed with its own CRC, so the load gets past the
     # checksum (or, for the checksum line itself, finds the right value in
     # a line of the wrong shape) and refuses on what it checks next
@@ -260,9 +290,8 @@ def test_checkpoint_refusals_under_a_valid_crc(tmp_path, case, error, message):
     body = ("\n".join(lines) + "\n").encode("ascii")
     path = tmp_path / "scan.ck"
     path.write_bytes(body + seal % zlib.crc32(body))
-    with pytest.raises(error) as info:
+    with pytest.raises(CheckpointError, match=_refusal(path, message)):
         load_checkpoint(str(path), pool)
-    assert str(info.value) == f"{path}: {message}"
 
 
 def test_checkpoint_written_at_interval(tmp_path, monkeypatch):

@@ -604,3 +604,19 @@ def test_sigterm_in_parent_kills_and_reaps_children(monkeypatch):
     _assert_reaped(pids)
     assert signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
     assert time.monotonic() - started < 30
+
+
+def test_a_second_sigterm_cannot_cut_the_cleanup_short():
+    # the handler ignores SIGTERM before it raises, so a second TERM that
+    # arrives while `run` kills and reaps its children cannot end the
+    # process halfway through
+    assert signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
+    try:
+        assert search_engine._raise_on_sigterm() is not None
+        handler = signal.getsignal(signal.SIGTERM)
+        with pytest.raises(SystemExit) as info:
+            handler(signal.SIGTERM, None)
+        assert info.value.code == 143
+        assert signal.getsignal(signal.SIGTERM) == signal.SIG_IGN
+    finally:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)

@@ -29,11 +29,8 @@ EXPORTS = {
     "poly_system": ["LatticePoint", "eval_system", "ferrari_identity_check", "roots_in_x",
                     "solve_window"],
     "qr_filter": ["FilterOutcome", "passes"],
-    "search_engine": ["CheckpointChecksumError", "CheckpointError", "CheckpointFormatError",
-                      "CheckpointPoolMismatchError", "CheckpointResidueError",
-                      "CheckpointVersionError", "SearchConfig",
-                      "SearchSummary", "ShardError", "load_checkpoint", "run",
-                      "save_checkpoint"],
+    "search_engine": ["CheckpointError", "SearchConfig", "SearchSummary", "ShardError",
+                      "load_checkpoint", "run", "save_checkpoint"],
 }
 
 
