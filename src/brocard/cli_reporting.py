@@ -7,11 +7,10 @@ emit time (factorial recomputed, square compared), and a survivor's
 rejecting prime is re-checked as its certificate, as a last defense
 against engine bugs.
 
-Exit codes: 0 success, 1 usage error or an unreadable report line on
-resume, 2 internal or resource error (a failed scan shard, a residue
-stream that fails a run-time check at a shard cut, at a piece's end or
-at the scan's top, or a report missing on resume among them), 3
-checkpoint mismatch.
+Exit codes: 0 success, 1 an argument the parser refuses. Every other
+failure a command reports takes its one stderr line's prefix and its
+exit code from `_FAILURES`, the one table of them; any other exception
+is an internal error, printed with its traceback, exit 2.
 """
 
 from __future__ import annotations
@@ -65,17 +64,10 @@ class ReportLine(NamedTuple):
 
 
 def render_line(line: ReportLine) -> str:
-    """Canonical serialization: fixed key order, absent fields omitted."""
-    obj: dict = {"kind": line.kind}
-    if line.n is not None:
-        obj["n"] = line.n
-    if line.m is not None:
-        obj["m"] = line.m
-    if line.rejecting_prime is not None:
-        obj["rejecting_prime"] = line.rejecting_prime
-    if line.counters is not None:
-        obj["counters"] = line.counters
-    return json.dumps(obj, separators=(",", ":"))
+    """Canonical serialization: keys in ReportLine's field order, absent
+    fields omitted."""
+    return json.dumps({k: v for k, v in zip(line._fields, line) if v is not None},
+                      separators=(",", ":"))
 
 
 def _check_solution_line(line: ReportLine) -> None:
@@ -181,6 +173,10 @@ class _UsageError(Exception):
         self.usage = usage
 
 
+class _Refused(Exception):
+    """Arguments the parser takes but a command refuses together."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(message, self.format_usage())
@@ -258,12 +254,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_search(args: argparse.Namespace) -> int:
     if args.resume and not args.checkpoint:
-        print("error: --resume requires --checkpoint", file=sys.stderr)
-        return 1
+        raise _Refused("--resume requires --checkpoint")
     # the summary counts what the report already holds: stdout holds nothing
     if args.resume and not args.report:
-        print("error: --resume requires --report", file=sys.stderr)
-        return 1
+        raise _Refused("--resume requires --report")
     config = SearchConfig(
         max_n=args.max_n,
         pool_size=args.primes,
@@ -360,8 +354,7 @@ def _cmd_epsilon(args: argparse.Namespace) -> int:
 
 def _cmd_table(args: argparse.Namespace) -> int:
     if args.n_from > args.n_to:
-        print("error: --from must not exceed --to", file=sys.stderr)
-        return 1
+        raise _Refused("--from must not exceed --to")
     d = args.digits
     _notice_exact_work("table", args.n_to, d + RATIO_GUARD)
     header = ["n", "k", "parity", "defect", "epsilon", "ratio", "solution", "note"]
@@ -393,8 +386,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 def _cmd_polysys(args: argparse.Namespace) -> int:
     if args.ymin > args.ymax:
-        print("error: --ymin must not exceed --ymax", file=sys.stderr)
-        return 1
+        raise _Refused("--ymin must not exceed --ymax")
     from .poly_system import solve_window  # only this command needs it
 
     for point in solve_window(args.ymin, args.ymax, factorials_only=args.factorials):
@@ -409,6 +401,18 @@ def _cmd_polysys(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # dispatch
 
+# Each failure a command reports, as (exception classes, stderr prefix,
+# exit code); the first row that matches prints "prefix: message".
+_FAILURES = (
+    (_Refused, "error", 1),
+    (ReportIntegrityError, "report integrity", 2),
+    (ReportFormatError, "report", 1),
+    (CheckpointError, "checkpoint", 3),
+    ((ShardError, StreamError), "search", 2),
+    ((BitBudgetError, CeilingError), "limit", 2),
+    (OSError, "io", 2),
+)
+
 
 def dispatch(argv: list[str] | None = None) -> int:
     parser = build_parser()
@@ -422,25 +426,11 @@ def dispatch(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except ReportIntegrityError as exc:
-        print(f"report integrity: {exc}", file=sys.stderr)
-        return 2
-    except ReportFormatError as exc:
-        print(f"report: {exc}", file=sys.stderr)
-        return 1
-    except CheckpointError as exc:
-        print(f"checkpoint: {exc}", file=sys.stderr)
-        return 3
-    except (ShardError, StreamError) as exc:
-        print(f"search: {exc}", file=sys.stderr)
-        return 2
-    except (BitBudgetError, CeilingError) as exc:
-        print(f"limit: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"io: {exc}", file=sys.stderr)
-        return 2
-    except Exception:
+    except Exception as exc:
+        for classes, prefix, code in _FAILURES:
+            if isinstance(exc, classes):
+                print(f"{prefix}: {exc}", file=sys.stderr)
+                return code
         import traceback  # only an internal error needs it
 
         traceback.print_exc()

@@ -66,7 +66,7 @@ class FactorialState(NamedTuple):
 class StreamError(Exception):
     """A residue stream disagrees with an independent derivation of the
     same position: a scan piece's front with its packed stream, or a
-    completed scan's last residue with Wilson's theorem at its top."""
+    one-shard scan's last residue with `seed_state` where it stops."""
 
 
 def primes_above(n: int) -> Iterator[int]:

@@ -124,10 +124,15 @@ MUTANTS = [
            "",
            (_T_SE + "test_checkpoint_reaches_the_disk_before_its_rename",)),
     # the stream checks while a scan runs (exit 2)
-    Mutant("one-shard top not checked by Wilson's theorem", _SE,
-           "            if hi == config.max_n and record[1] != seed_state(pool, hi).residue:\n",
+    Mutant("one-shard scan not checked where it stops", _SE,
+           "            if hi == stop and record[1] != seed_state(pool, hi).residue:\n",
            "            if False:\n",
-           (_T_SH + "test_a_one_shard_scan_whose_top_drifts_exits_2",)),
+           (_T_SH + "test_a_one_shard_scan_whose_top_drifts_exits_2",
+            _T_SH + "test_a_one_shard_scan_is_checked_where_it_stops")),
+    Mutant("one-shard scan checked only at max_n", _SE,
+           "            if hi == stop and record[1] != seed_state(pool, hi).residue:\n",
+           "            if hi == config.max_n and record[1] != seed_state(pool, hi).residue:\n",
+           (_T_SH + "test_a_one_shard_scan_is_checked_where_it_stops",)),
     Mutant("shard cut not checked", _SE,
            "        if self.receive() != below:\n",
            "        if self.receive() != below and False:\n",
@@ -145,6 +150,10 @@ MUTANTS = [
            "        except (EOFError, ValueError, TypeError):\n",
            "        except (ValueError, TypeError):\n",
            (_T_SH + "test_failed_child_stops_at_last_finished_segment[first piece-kill]",)),
+    Mutant("failed fork leaks its read end", _SE,
+           "    except BaseException:\n        os.close(read_fd)\n",
+           "    except BaseException:\n",
+           (_T_SH + "test_a_failed_fork_closes_its_pipe_and_reaps_the_children_before",)),
     Mutant("children left unkilled and unreaped on close", _SE,
            "        if self.pid is not None:\n",
            "        if False:\n",
@@ -213,6 +222,36 @@ MUTANTS = [
            "                pass\n",
            (_T_SH + "test_report_reaches_the_disk_before_each_checkpoint[1]",
             _T_SH + "test_report_reaches_the_disk_before_each_checkpoint[2]")),
+    # the exit code of each row of cli_reporting._FAILURES
+    Mutant("refused arguments exit 2", _CLI,
+           "    (_Refused, \"error\", 1),\n",
+           "    (_Refused, \"error\", 2),\n",
+           (_T_CLI + "test_usage_error_resume_without_report",
+            _T_CLI + "test_semantic_usage_errors")),
+    Mutant("report integrity failure exits 1", _CLI,
+           "    (ReportIntegrityError, \"report integrity\", 2),\n",
+           "    (ReportIntegrityError, \"report integrity\", 1),\n",
+           (_T_CLI + "test_a_survivor_whose_prime_is_not_its_certificate_exits_2",)),
+    Mutant("unreadable report to resume into exits 2", _CLI,
+           "    (ReportFormatError, \"report\", 1),\n",
+           "    (ReportFormatError, \"report\", 2),\n",
+           (_T_CLI + "test_resume_onto_a_line_without_its_line_end_exits_1",)),
+    Mutant("refused checkpoint exits 2", _CLI,
+           "    (CheckpointError, \"checkpoint\", 3),\n",
+           "    (CheckpointError, \"checkpoint\", 2),\n",
+           (_T_CLI + "test_checkpoint_with_a_wrong_residue_exits_3[seed side]",)),
+    Mutant("failed scan exits 1", _CLI,
+           "    ((ShardError, StreamError), \"search\", 2),\n",
+           "    ((ShardError, StreamError), \"search\", 1),\n",
+           (_T_SH + "test_a_one_shard_scan_whose_top_drifts_exits_2",)),
+    Mutant("limit exits 1", _CLI,
+           "    ((BitBudgetError, CeilingError), \"limit\", 2),\n",
+           "    ((BitBudgetError, CeilingError), \"limit\", 1),\n",
+           (_T_CLI + "test_over_budget_commands_refuse_before_notice_and_factorial[argv0]",)),
+    Mutant("io error exits 1", _CLI,
+           "    (OSError, \"io\", 2),\n",
+           "    (OSError, \"io\", 1),\n",
+           (_T_CLI + "test_missing_checkpoint_resume_exits_2",)),
 ]
 
 

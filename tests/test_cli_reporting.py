@@ -435,8 +435,9 @@ def test_resume_onto_a_line_without_its_line_end_exits_1(tmp_path, capsys):
 
 def test_semantic_usage_errors(capsys):
     assert dispatch(["table", "--from", "5", "--to", "2"]) == 1
+    assert capsys.readouterr() == ("", "error: --from must not exceed --to\n")
     assert dispatch(["polysys", "--ymin", "2", "--ymax", "1"]) == 1
-    capsys.readouterr()
+    assert capsys.readouterr() == ("", "error: --ymin must not exceed --ymax\n")
 
 
 def test_help_exits_0(capsys):

@@ -17,7 +17,7 @@ from brocard import factorial_engine, search_engine
 from brocard.cli_reporting import dispatch
 from brocard.factorial_engine import build_prime_pool
 from brocard.qr_filter import table_ranks
-from brocard.search_engine import SearchConfig, ShardError, run
+from brocard.search_engine import SearchConfig, ShardError, StreamError, run
 
 _SAVE = search_engine.save_checkpoint
 _FORK = search_engine._fork_shard
@@ -189,6 +189,12 @@ def test_shard_count_follows_cores_and_span(monkeypatch):
         release.set()
         other.join(30)
     assert not other.is_alive()
+    # without an affinity mask, every core counts
+    monkeypatch.delattr(search_engine.os, "sched_getaffinity")
+    monkeypatch.setattr(search_engine.os, "cpu_count", lambda: 3)
+    assert search_engine._shard_count(10 * span) == 3
+    monkeypatch.setattr(search_engine.os, "cpu_count", lambda: None)
+    assert search_engine._shard_count(10 * span) == 1
     monkeypatch.delattr(search_engine.os, "fork")
     assert search_engine._shard_count(10 * span) == 1
 
@@ -483,11 +489,9 @@ def test_a_child_whose_residue_drifts_fails_at_its_cut(tmp_path, monkeypatch):
     assert log == clean[:clean.index(checkpoints[last_checkpoint // 100 - 1]) + 1]
 
 
-def test_a_one_shard_scan_whose_top_drifts_exits_2(tmp_path, monkeypatch, capsys):
-    # A scan with no child meets no cut. Its last residue is checked
-    # against Wilson's theorem at max_n before that segment is settled or
-    # checkpointed, so a drift in its last piece writes no summary and no
-    # checkpoint past the one before.
+def _drift_one_shard_at(monkeypatch, stop):
+    """A one-shard scan over 2 pool primes to 3000, on a 1000-n grid, whose
+    piece ending at `stop` ends off by one factor; the pool."""
     monkeypatch.setattr(search_engine, "CHECKPOINT_INTERVAL", 1000)
     _force_shards(monkeypatch, 1)
     pool = build_prime_pool(3000, 2)
@@ -496,9 +500,18 @@ def test_a_one_shard_scan_whose_top_drifts_exits_2(tmp_path, monkeypatch, capsys
 
     def drifting(pool, tables, start, residue, end):
         survivors, below, counts = scan_piece(pool, tables, start, residue, end)
-        return survivors, below * 2 % modulus if end == 3000 else below, counts
+        return survivors, below * 2 % modulus if end == stop else below, counts
 
     monkeypatch.setattr(search_engine, "scan_piece", drifting)
+    return pool
+
+
+def test_a_one_shard_scan_whose_top_drifts_exits_2(tmp_path, monkeypatch, capsys):
+    # A scan with no child meets no cut. Its last residue is checked
+    # against Wilson's theorem at max_n before that segment is settled or
+    # checkpointed, so a drift in its last piece writes no summary and no
+    # checkpoint past the one before.
+    pool = _drift_one_shard_at(monkeypatch, 3000)
     report, ck = tmp_path / "scan.jsonl", str(tmp_path / "scan.ck")
     assert dispatch(["search", "--max-n", "3000", "--primes", "2", "--checkpoint", ck,
                      "--report", str(report)]) == 2
@@ -506,6 +519,17 @@ def test_a_one_shard_scan_whose_top_drifts_exits_2(tmp_path, monkeypatch, capsys
                                        "not 3000! mod the pool primes\n")
     lines = [json.loads(raw) for raw in report.read_text().splitlines()]
     assert lines and all(line["kind"] != "summary" and line["n"] <= 2000 for line in lines)
+    assert search_engine.load_checkpoint(ck, pool).n == 2000
+
+
+def test_a_one_shard_scan_is_checked_where_it_stops(tmp_path, monkeypatch):
+    # stopped below max_n, off the grid, the scan is checked against
+    # seed_state at its stop, before the checkpoint there is written
+    pool = _drift_one_shard_at(monkeypatch, 2500)
+    ck = str(tmp_path / "scan.ck")
+    with pytest.raises(StreamError, match="^the scan's residue at its top n=2500 is not "
+                       "2500! mod the pool primes$"):
+        run(SearchConfig(max_n=3000, pool_size=2, checkpoint_path=ck, stop_n=2500))
     assert search_engine.load_checkpoint(ck, pool).n == 2000
 
 
@@ -604,6 +628,48 @@ def test_sigterm_in_parent_kills_and_reaps_children(monkeypatch):
     _assert_reaped(pids)
     assert signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
     assert time.monotonic() - started < 30
+
+
+def test_a_failed_fork_closes_its_pipe_and_reaps_the_children_before(monkeypatch):
+    # the second of three shards forks, the third's fork fails: the error
+    # comes out, the failed fork's pipe is closed at both ends, and the
+    # child already running is killed and reaped
+    _force_shards(monkeypatch, 3)
+    _, pids = _record(monkeypatch)
+    pipes, pipe, fork = [], os.pipe, os.fork
+
+    def logged_pipe():
+        pipes.append(pipe())
+        return pipes[-1]
+
+    def failing_fork():
+        if len(pipes) > 1:
+            raise OSError("injected fork failure")
+        return fork()
+
+    monkeypatch.setattr(search_engine.os, "pipe", logged_pipe)
+    monkeypatch.setattr(search_engine.os, "fork", failing_fork)
+    with pytest.raises(OSError, match="^injected fork failure$"):
+        run(SearchConfig(max_n=3000, pool_size=2))
+    assert len(pids) == 1 and len(pipes) == 2
+    _assert_reaped(pids)
+    for fd in pipes[1]:
+        with pytest.raises(OSError):
+            os.fstat(fd)
+
+
+def test_sigterm_handler_already_installed_is_left_in_place():
+    # only the default action is replaced; a handler someone installed
+    # stays, and there is nothing to undo
+    def handler(signum, frame):
+        pass
+
+    previous = signal.signal(signal.SIGTERM, handler)
+    try:
+        assert search_engine._raise_on_sigterm() is None
+        assert signal.getsignal(signal.SIGTERM) is handler
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 def test_a_second_sigterm_cannot_cut_the_cleanup_short():
