@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import marshal
 import os
-import re
 import threading
 import time
 import zlib
@@ -81,7 +80,6 @@ _MIN_SHARD_SPAN = 1 << 17
 _SEED_COST = 0.18
 
 _CHECKPOINT_MAGIC = b"BROCARD-CHECKPOINT v1"
-_CRC_RE = re.compile(rb"crc32=([0-9a-f]{8})\n")
 
 # (kind, n, m, rejecting_prime)
 EventCallback = Callable[[str, int, "int | None", "int | None"], None]
@@ -123,8 +121,8 @@ class SearchSummary(NamedTuple):
 # checkpoints
 
 
-def save_checkpoint(state: FactorialState, pool: PrimePool, path: str) -> None:
-    """Write the stream position atomically (temp file, then rename).
+def _checkpoint_bytes(state: FactorialState, pool: PrimePool) -> bytes:
+    """The one encoding of a checkpoint.
 
     Layout is line-oriented ASCII: a version marker, max_n, n, the prime
     count, one prime,residue pair (n! mod that prime) per pool prime in
@@ -138,76 +136,65 @@ def save_checkpoint(state: FactorialState, pool: PrimePool, path: str) -> None:
     ]
     lines.extend(f"{p},{state.residue % p}" for p in pool.primes)
     body = ("\n".join(lines) + "\n").encode("ascii")
-    data = body + b"crc32=%08x\n" % zlib.crc32(body)
+    return body + b"crc32=%08x\n" % zlib.crc32(body)
+
+
+def save_checkpoint(state: FactorialState, pool: PrimePool, path: str) -> None:
+    """Write the stream position's `_checkpoint_bytes` atomically (temp
+    file, fsync, then rename)."""
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fh:
-        fh.write(data)
+        fh.write(_checkpoint_bytes(state, pool))
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
 
 
 def load_checkpoint(path: str, pool: PrimePool) -> FactorialState:
-    """Parse and validate a checkpoint against the pool it must match.
+    """The stream position of the checkpoint at path, if it is the file
+    `save_checkpoint` writes for this pool; CheckpointError if not.
 
-    Validation order: version marker first, then checksum over the whole
-    body, then field structure, then pool identity, then the residues
-    themselves, each of which must be the `seed_state` at n mod its
-    prime. Each refusal raises CheckpointError, its message naming the
-    check that failed.
+    Validation order: version marker; the checksum line against the CRC32
+    of the body; the max_n, n and primes field lines; the scan's bound
+    and pool size against this pool's; last, the whole file against the
+    bytes written for the `seed_state` at its n. That last check proves
+    every residue and refuses any other spelling of the same position,
+    such as a leading zero. Each refusal's message names the check that
+    failed.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     first_line, _, _ = data.partition(b"\n")
     if first_line != _CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: unrecognized header {first_line[:40]!r}")
-    idx = data.rfind(b"\ncrc32=")
-    if idx < 0:
-        raise CheckpointError(f"{path}: checksum line missing")
-    body, tail = data[: idx + 1], data[idx + 1 :]
-    m = _CRC_RE.fullmatch(tail)
-    if m is None:
-        raise CheckpointError(f"{path}: malformed checksum line")
-    if zlib.crc32(body) != int(m.group(1), 16):
-        raise CheckpointError(f"{path}: checksum mismatch")
+    head, _, seal = data.rpartition(b"\ncrc32=")
+    body = head + b"\n"
+    if seal != b"%08x\n" % zlib.crc32(body):
+        raise CheckpointError(f"{path}: checksum line missing or wrong")
 
     try:
         # a non-ASCII byte, or a number past int()'s digit limit, raises
-        # ValueError
-        lines = body.decode("ascii").splitlines()
-        fields = {}
+        # ValueError; a short body reads as empty field lines
+        lines = body.decode("ascii").split("\n") + ["", ""]
+        fields = []
         for key, line in zip(("max_n", "n", "primes"), lines[1:4]):
             name, eq, value = line.partition("=")
             if name != key or eq != "=" or not value.isdigit():
                 raise CheckpointError(f"{path}: bad field line {line!r}")
-            fields[key] = int(value)
-        pairs = []
-        for line in lines[4:]:
-            left, comma, right = line.partition(",")
-            if comma != "," or not left.isdigit() or not right.isdigit():
-                raise CheckpointError(f"{path}: bad pair line {line!r}")
-            pairs.append((int(left), int(right)))
+            fields.append(int(value))
     except ValueError as exc:
         raise CheckpointError(f"{path}: unreadable body: {exc}") from None
-    if fields.get("primes") != len(pairs):
-        raise CheckpointError(f"{path}: prime count disagrees with pair lines")
-    if fields["n"] > fields["max_n"]:
-        raise CheckpointError(f"{path}: position n={fields['n']} beyond max_n")
-
-    if fields["max_n"] != pool.max_n:
-        raise CheckpointError(
-            f"{path}: checkpoint scans to {fields['max_n']}, this scan to {pool.max_n}")
-    if len(pairs) != len(pool.primes):
-        raise CheckpointError(
-            f"{path}: pool has {len(pairs)} primes, expected {len(pool.primes)}")
-    for (q, _), p in zip(pairs, pool.primes):
-        if q != p:
-            raise CheckpointError(f"{path}: pool prime {q} does not match expected {p}")
-    state = seed_state(pool, fields["n"])
+    max_n, n, count = fields
+    if n > max_n:
+        raise CheckpointError(f"{path}: position n={n} beyond max_n")
+    if max_n != pool.max_n:
+        raise CheckpointError(f"{path}: checkpoint scans to {max_n}, this scan to {pool.max_n}")
+    if count != len(pool.primes):
+        raise CheckpointError(f"{path}: pool has {count} primes, expected {len(pool.primes)}")
+    state = seed_state(pool, n)
     # a wrong residue could make the filter reject a solution
-    if any(r != state.residue % p for (p, r) in pairs):
-        raise CheckpointError(
-            f"{path}: the residues are not {state.n}! mod the pool primes")
+    if data != _checkpoint_bytes(state, pool):
+        raise CheckpointError(f"{path}: not the checkpoint this scan writes at n={n}")
     return state
 
 

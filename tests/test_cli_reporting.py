@@ -557,7 +557,8 @@ def test_checkpoint_mismatch_exits_3(tmp_path, capsys):
 def test_checkpoint_with_a_wrong_residue_exits_3(tmp_path, capsys, stop_n):
     # one residue changed and the CRC recomputed: the checksum holds, but
     # the load re-derives n! mod the pool, from n (n = 1000) or from the
-    # top of the pool (n = 2900), and refuses before any scan work
+    # top of the pool (n = 2900), finds the file is not the one written
+    # there, and refuses before any scan work
     import zlib
 
     from brocard.search_engine import SearchConfig, run
@@ -573,7 +574,7 @@ def test_checkpoint_with_a_wrong_residue_exits_3(tmp_path, capsys, stop_n):
     assert dispatch(["search", "--max-n", "3000", "--primes", "8", "--checkpoint", str(ck),
                      "--report", str(report), "--resume"]) == 3
     err = capsys.readouterr().err
-    assert err == f"checkpoint: {ck}: the residues are not {stop_n}! mod the pool primes\n"
+    assert err == f"checkpoint: {ck}: not the checkpoint this scan writes at n={stop_n}\n"
     assert report.read_bytes() == b""
 
 

@@ -218,7 +218,7 @@ def test_checkpoint_checksum_detects_corruption(tmp_path):
     flip = raw.index(b"n=") + 2
     raw[flip] = raw[flip] ^ 1 | 0x30  # keep it a digit, change its value
     (tmp_path / "scan.ck").write_bytes(bytes(raw))
-    with pytest.raises(CheckpointError, match=_refusal(path, "checksum mismatch")):
+    with pytest.raises(CheckpointError, match=_refusal(path, "checksum line missing or wrong")):
         load_checkpoint(path, pool)
 
 
@@ -228,7 +228,7 @@ def test_checkpoint_missing_checksum_line(tmp_path):
     save_checkpoint(state, pool, path)
     raw = (tmp_path / "scan.ck").read_bytes()
     (tmp_path / "scan.ck").write_bytes(raw.rsplit(b"crc32=", 1)[0])
-    with pytest.raises(CheckpointError, match=_refusal(path, "checksum line missing")):
+    with pytest.raises(CheckpointError, match=_refusal(path, "checksum line missing or wrong")):
         load_checkpoint(path, pool)
 
 
@@ -259,17 +259,27 @@ def test_checkpoint_rejects_structural_nonsense(tmp_path):
         load_checkpoint(path, pool)
 
 
+_NOT_WRITTEN = "not the checkpoint this scan writes at n=10"
+
+
 @pytest.mark.parametrize("case,message", [
-    ("checksum line", "malformed checksum line"),
+    ("checksum line", "checksum line missing or wrong"),
     ("field line", "bad field line 'count=4'"),
-    ("pair line", "bad pair line '59;'"),
-    ("prime count", "prime count disagrees with pair lines"),
-    ("pool prime", "pool prime 60 does not match expected 59"),
+    ("short body", "bad field line ''"),
+    ("pair line", _NOT_WRITTEN),
+    ("pool size", "pool has 5 primes, expected 4"),
+    ("pool prime", _NOT_WRITTEN),
+    ("residue zero", _NOT_WRITTEN),
+    ("n zero", _NOT_WRITTEN),
+    ("extra pair", _NOT_WRITTEN),
+    ("swapped pairs", _NOT_WRITTEN),
 ])
 def test_checkpoint_refusals_under_a_valid_crc(tmp_path, case, message):
     # each body is sealed with its own CRC, so the load gets past the
     # checksum (or, for the checksum line itself, finds the right value in
-    # a line of the wrong shape) and refuses on what it checks next
+    # a line of the wrong shape) and refuses on what it checks next; a
+    # leading zero names the same n and residue, but is not what the
+    # writer makes
     import zlib
 
     pool, state = _pool_and_state()
@@ -281,12 +291,22 @@ def test_checkpoint_refusals_under_a_valid_crc(tmp_path, case, message):
         seal = b"crc32=%08x \n"
     elif case == "field line":
         lines[3] = "count=4"
+    elif case == "short body":
+        del lines[3:]
     elif case == "pair line":
         lines[5] = "59;"
-    elif case == "prime count":
+    elif case == "pool size":
         lines[3] = "primes=5"
-    else:
+    elif case == "pool prime":
         lines[5] = lines[5].replace("59,", "60,")
+    elif case == "residue zero":
+        lines[5] = lines[5].replace("59,", "59,0")
+    elif case == "n zero":
+        lines[2] = "n=010"
+    elif case == "extra pair":
+        lines.append(lines[-1])
+    else:
+        lines[4:6] = lines[5:3:-1]
     body = ("\n".join(lines) + "\n").encode("ascii")
     path = tmp_path / "scan.ck"
     path.write_bytes(body + seal % zlib.crc32(body))
