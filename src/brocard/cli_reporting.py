@@ -41,7 +41,7 @@ from .search_engine import (
 MISQUOTED_K = {8: 26, 11: 6371}
 
 # Exact work on n! (the factorial, then its isqrt) grows much faster than
-# n: `verify` takes 2.5-2.8 s at n = 10**5 and 10.0-11.1 s at 2 * 10**5
+# n: `verify` takes 2.0-2.1 s at n = 10**5 and 8.8-9.2 s at 2 * 10**5
 # (three runs each, 2-core x86-64 VM, CPython 3.11). From this n on,
 # `verify`, `epsilon` and `table` say so on stderr first.
 _STALL_NOTICE_N = 200_000
@@ -313,22 +313,23 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     _notice_exact_work("verify", args.n)
     report = conditions.verify(args.n)
     # m_candidate = k + 1 (and m, at a solution) from k's digits: rendering
-    # a big int is quadratic in its length, the successor linear
+    # a big int is quadratic in its length, the successor linear; n! is
+    # k(k + 2) exactly at a solution, so product_matches is is_solution
     k = decimal_str(report.k)
     m_candidate = _decimal_successor(k)
     print(f"n: {report.n}")
     print(f"k: {k}")
     print(f"m_candidate: {m_candidate}")
-    print(f"k_even: {_bool_str(report.k_even)}")
+    print(f"k_even: {_bool_str(report.k % 2 == 0)}")
     print(f"defect: {decimal_str(report.defect)}")
-    print(f"product_matches: {_bool_str(report.product_matches)}")
+    print(f"product_matches: {_bool_str(report.is_solution)}")
     print(f"is_solution: {_bool_str(report.is_solution)}")
-    print(f"m: {m_candidate if report.m is not None else 'none'}")
+    print(f"m: {m_candidate if report.is_solution else 'none'}")
     if args.factor_structure:
         if report.is_solution:
             fs = conditions.factor_structure(args.n)
-            print(f"half_even: {fs.half_even} = 2 * {fs.a}")
-            print(f"half_pow: {fs.half_pow} = 2^{fs.e - 1} * {fs.b}")
+            print(f"half_even: {2 * fs.a} = 2 * {fs.a}")
+            print(f"half_pow: {fs.b << (fs.e - 1)} = 2^{fs.e - 1} * {fs.b}")
             print(f"a: {fs.a}")
             print(f"b: {fs.b}")
             print(f"e: {fs.e}")
@@ -347,7 +348,8 @@ def _cmd_epsilon(args: argparse.Namespace) -> int:
     print(f"epsilon: {epsilon_digits(root, d)}")
     if profile is not None:
         print(f"nine_run: {profile.nine_run}")
-        print(f"nine_run_exact: {_bool_str(not profile.nine_run_is_lower_bound)}")
+        # a run that fills every digit computed is a lower bound
+        print(f"nine_run_exact: {_bool_str(profile.nine_run < profile.digits_computed)}")
         print(f"digits_computed: {profile.digits_computed}")
     return 0
 
@@ -372,7 +374,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         if n in MISQUOTED_K and MISQUOTED_K[n] != rep.k:
             note = f"k corrected (misquoted as {MISQUOTED_K[n]} in circulated tables)"
         rows.append([
-            str(n), decimal_str(rep.k), "even" if rep.k_even else "odd",
+            str(n), decimal_str(rep.k), "odd" if rep.k % 2 else "even",
             decimal_str(rep.defect), eps, ratio,
             "yes" if rep.is_solution else "no", note,
         ])

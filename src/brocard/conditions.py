@@ -31,33 +31,32 @@ class NotASolutionError(ValueError):
 
 
 class VerifyReport(NamedTuple):
-    """Verdict for one n. A certificate verdict carries rejecting_prime
-    and leaves the exact fields (k, m_candidate, k_even, defect) None."""
+    """Verdict for one n, with k = isqrt(n!) and defect = n! - k**2.
+
+    n is a solution exactly when defect == 2k, and then m = k + 1 and k
+    is even. A certificate verdict carries rejecting_prime and leaves k
+    and defect None.
+    """
 
     n: int
     k: int | None
-    m_candidate: int | None
-    k_even: bool | None
-    product_matches: bool
     defect: int | None
     is_solution: bool
-    m: int | None
     rejecting_prime: int | None = None
 
 
 class FactorStructure(NamedTuple):
     """n! = 2a * 2**(e-1) * b with a, b odd, e the 2-adic valuation of n!.
 
-    half_even is the factor of {k, k+2} congruent to 2 mod 4 (it equals
-    2a); half_pow is the other, carrying all remaining powers of two.
+    Of the factors k and k + 2 of a solution's n!, 2a is the one congruent
+    to 2 mod 4 and b * 2**(e-1) the other, carrying all remaining powers
+    of two.
     """
 
     n: int
     a: int
     b: int
     e: int
-    half_even: int
-    half_pow: int
 
 
 def factorial_mod(n: int, q: int) -> int:
@@ -76,14 +75,15 @@ def residue_symbol(n: int, q: int) -> int:
     return legendre((factorial_mod(n, q) + 1) % q, q)
 
 
-def legendre_certificate(n: int, budget: int = CERTIFICATE_PRIMES) -> int | None:
-    """The first of the budget smallest odd primes q > n with (n! + 1 | q) = -1.
+def legendre_certificate(n: int) -> int | None:
+    """The first of the CERTIFICATE_PRIMES smallest odd primes q > n with
+    (n! + 1 | q) = -1.
 
     None when none of them rejects: always for a solution, and with
-    probability about 2**-budget otherwise. Symbol 0 (q divides n! + 1)
-    does not reject.
+    probability about 2**-CERTIFICATE_PRIMES otherwise. Symbol 0 (q
+    divides n! + 1) does not reject.
     """
-    for q in itertools.islice(primes_above(n), budget):
+    for q in itertools.islice(primes_above(n), CERTIFICATE_PRIMES):
         if residue_symbol(n, q) == -1:
             return q
     return None
@@ -101,41 +101,29 @@ def is_certificate(n: int, q: int) -> bool:
     return n >= 0 and legendre_certificate(n) == q
 
 
-def verify(n: int, *, certify: int = 0) -> VerifyReport:
+def verify(n: int, *, certify: bool = False) -> VerifyReport:
     """Verdict for a single n, exact unless certify asks for a certificate.
 
-    With certify > 0 the certify smallest odd primes above n are tried
-    first; the first that rejects settles n as a non-solution and nothing
-    exact is computed. Without one (solutions, and about 2**-certify of
-    non-solutions) the exact path runs, which raises CeilingError above
-    the exact factorial ceiling.
+    With certify the CERTIFICATE_PRIMES smallest odd primes above n are
+    tried first; the first that rejects settles n as a non-solution and
+    nothing exact is computed. Without one (solutions, and about
+    2**-CERTIFICATE_PRIMES of non-solutions) the exact path runs, which
+    raises CeilingError above the exact factorial ceiling.
     """
     if certify:
-        q = legendre_certificate(n, certify)
+        q = legendre_certificate(n)
         if q is not None:
-            return VerifyReport(n=n, k=None, m_candidate=None, k_even=None,
-                                product_matches=False, defect=None,
-                                is_solution=False, m=None, rejecting_prime=q)
+            return VerifyReport(n=n, k=None, defect=None, is_solution=False,
+                                rejecting_prime=q)
     f = factorial_exact(n)
     k = isqrt(f)
     d = f - k * k
-    product = k * (k + 2)
     sol = d == 2 * k
-    assert sol == (product == f)
+    assert sol == (k * (k + 2) == f)
     if sol:
-        m = k + 1
-        assert m * m == f + 1
+        assert (k + 1) ** 2 == f + 1
         assert k % 2 == 0
-    return VerifyReport(
-        n=n,
-        k=k,
-        m_candidate=k + 1,
-        k_even=k % 2 == 0,
-        product_matches=sol,
-        defect=d,
-        is_solution=sol,
-        m=k + 1 if sol else None,
-    )
+    return VerifyReport(n=n, k=k, defect=d, is_solution=sol)
 
 
 def factor_structure(n: int) -> FactorStructure:
@@ -162,4 +150,4 @@ def factor_structure(n: int) -> FactorStructure:
     assert a % 2 == 1 and b % 2 == 1
     assert abs(2 * a - half_pow) == 2
     assert 2 * a * half_pow == f
-    return FactorStructure(n=n, a=a, b=b, e=e, half_even=half_even, half_pow=half_pow)
+    return FactorStructure(n=n, a=a, b=b, e=e)

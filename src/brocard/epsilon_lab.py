@@ -27,11 +27,13 @@ _LOG2_FACTORIAL_MARGIN = 16
 
 
 class EpsilonProfile(NamedTuple):
+    """The run of 9s opening eps, read at digits_computed digits. A run
+    that fills them (only at NINE_RUN_CAP) is a lower bound."""
+
     n: int
     digits_computed: int
     epsilon: ScaledDecimal
     nine_run: int
-    nine_run_is_lower_bound: bool
 
 
 class FactorialRoot:
@@ -150,8 +152,7 @@ def nine_run(root: FactorialRoot) -> EpsilonProfile:
         run = len(frac) - len(frac.lstrip("9"))
         # d never passes the cap, so a run that fills it is the cap
         if run < d or d == cap:
-            return EpsilonProfile(n=root.n, digits_computed=d, epsilon=eps,
-                                  nine_run=run, nine_run_is_lower_bound=run == d)
+            return EpsilonProfile(n=root.n, digits_computed=d, epsilon=eps, nine_run=run)
         d = min(2 * d, cap)
 
 

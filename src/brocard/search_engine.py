@@ -239,14 +239,14 @@ def run(config: SearchConfig, on_event: EventCallback = _drop_event) -> SearchSu
         nonlocal survivors
         survivors += 1
         try:
-            report = conditions.verify(n, certify=conditions.CERTIFICATE_PRIMES)
+            report = conditions.verify(n, certify=True)
         except CeilingError:
             unresolved.append(n)
             on_event("unresolved", n, None, None)
             return
         if report.is_solution:
-            solutions.append((n, report.m))
-            on_event("solution", n, report.m, None)
+            solutions.append((n, report.k + 1))
+            on_event("solution", n, report.k + 1, None)
         else:
             on_event("survivor", n, None, report.rejecting_prime)
 

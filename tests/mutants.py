@@ -20,8 +20,8 @@ once, or when its tests do not run (an unknown test id, a timeout).
 The list is chosen by hand: it proves that the listed checks are tested,
 not that every check is. Removing or weakening an entry loosens the gate.
 Left out as equivalent on every testable input: `legendre_certificate`
-walking twice its budget of primes, which differs only where 64 primes
-fail to reject a non-solution (probability about 2**-64).
+walking twice CERTIFICATE_PRIMES primes, which differs only where 64
+primes fail to reject a non-solution (probability about 2**-64).
 
 pytest does not collect this file: its name does not start with test_.
 """
@@ -190,6 +190,26 @@ MUTANTS = [
            "    if n <= pool.primes[-1] - n:\n",
            "    if 2 * n <= pool.primes[-1] - n:\n",
            (_T_SH + "test_shard_starts_take_the_cheaper_side[1]",)),
+    # input guards of the pool and the exact layer
+    Mutant("pool primes not checked odd, increasing and above max_n", _FE,
+           "            if not (p > prev and p % 2 == 1):\n",
+           "            if False:\n",
+           ("tests/test_factorial_engine.py::test_prime_pool_validates_on_construction",
+            "tests/test_factorial_engine.py::test_validation_holds_under_python_O")),
+    Mutant("pool built past MAX_SUPPORTED_N", _FE,
+           "    if max_n > MAX_SUPPORTED_N:\n",
+           "    if False:\n",
+           ("tests/test_factorial_engine.py::test_build_prime_pool_rejects_huge_ceiling",)),
+    Mutant("n! built past the exact factorial ceiling", _FE,
+           "    if n > EXACT_FACTORIAL_CEILING:\n",
+           "    if False:\n",
+           ("tests/test_factorial_engine.py::test_factorial_exact_ceiling",
+            "tests/test_conditions.py::test_verify_respects_ceiling")),
+    Mutant("Legendre symbol taken modulo a composite", _EA,
+           "    if s != p - 1:\n",
+           "    if False:\n",
+           ("tests/test_exact_arith.py::test_legendre_refuses_a_composite_modulus",
+            "tests/test_factorial_engine.py::test_validation_holds_under_python_O")),
     # the exact layer (exit 2 at the precision budget)
     Mutant("Miller-Rabin small witnesses cut", _EA,
            "_MR_SMALL_WITNESSES = (2, 7, 61)\n",

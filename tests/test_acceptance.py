@@ -245,7 +245,7 @@ def test_criterion_9_nine_run_at_1e5():
     invariant_ok = (
         first.epsilon.mantissa == frac
         and scaled**2 <= f * 10 ** (2 * d) < (scaled + 1) ** 2
-        and not first.nine_run_is_lower_bound
+        and first.nine_run < first.digits_computed
     )
     digit_str = str(frac).zfill(d)
     run_recount = len(digit_str) - len(digit_str.lstrip("9"))

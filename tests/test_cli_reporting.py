@@ -184,6 +184,10 @@ def test_verify_cli(capsys):
     out = capsys.readouterr().out
     assert "half_even: 70 = 2 * 35" in out
     assert "half_pow: 72 = 2^3 * 9" in out
+    # k = 4 is 0 mod 4, so the half that is 2 mod 4 is k + 2
+    assert dispatch(["verify", "4", "--factor-structure"]) == 0
+    out = capsys.readouterr().out
+    assert "half_even: 6 = 2 * 3\nhalf_pow: 4 = 2^2 * 1\n" in out
 
 
 # values ending in a run of 9s, so the successor carries
@@ -237,13 +241,18 @@ def test_verify_renders_k_and_defect_only(monkeypatch, capsys, n):
     assert rendered == [k, f - k * k]
 
 
-def test_epsilon_cli(capsys):
+def test_epsilon_cli(monkeypatch, capsys):
     assert dispatch(["epsilon", "7", "--digits", "10"]) == 0
     assert "epsilon: 0.9929573971" in capsys.readouterr().out
     assert dispatch(["epsilon", "7", "--nine-run"]) == 0
     out = capsys.readouterr().out
     assert "nine_run: 2" in out
     assert "nine_run_exact: true" in out
+    # a cap of 2 digits, both 9s: the run fills them and is a lower bound
+    monkeypatch.setattr(epsilon_lab, "NINE_RUN_CAP", 2)
+    assert dispatch(["epsilon", "7", "--nine-run"]) == 0
+    assert capsys.readouterr().out.endswith(
+        "nine_run: 2\nnine_run_exact: false\ndigits_computed: 2\n")
 
 
 def test_table_cli_flags_misquoted_rows(capsys):
@@ -466,7 +475,7 @@ def test_a_survivor_whose_prime_is_not_its_certificate_exits_2(tmp_path, monkeyp
                                                                 capsys):
     verify = conditions.verify
 
-    def forging(n, *, certify=0):
+    def forging(n, *, certify=False):
         report = verify(n, certify=certify)
         q = report.rejecting_prime
         return report if q is None else report._replace(rejecting_prime=q + 2)

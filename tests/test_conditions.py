@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brocard.conditions import (
-    CERTIFICATE_PRIMES,
     NotASolutionError,
     factor_structure,
     factorial_mod,
@@ -23,9 +22,10 @@ KNOWN_SOLUTIONS = {4: 5, 5: 11, 7: 71}
 
 
 def test_candidate_m_examples():
-    assert verify(4).m_candidate == 5
-    assert verify(7).m_candidate == 71
-    assert verify(9).m_candidate == 603
+    # the candidate m is k + 1
+    assert verify(4).k + 1 == 5
+    assert verify(7).k + 1 == 71
+    assert verify(9).k + 1 == 603
 
 
 def test_defect_examples():
@@ -39,10 +39,10 @@ def test_verify_solutions():
     for n, m in KNOWN_SOLUTIONS.items():
         report = verify(n)
         assert report.is_solution
-        assert report.m == m == report.m_candidate
+        assert report.k + 1 == m
         assert report.k == m - 1
-        assert report.k_even
-        assert report.product_matches
+        assert report.k % 2 == 0
+        assert report.k * (report.k + 2) == math.factorial(n)
         assert report.defect == 2 * report.k
         assert m * m == math.factorial(n) + 1
 
@@ -51,7 +51,7 @@ def test_verify_non_solutions():
     for n in (0, 1, 2, 3, 6, 8, 9, 10, 11, 12, 50):
         report = verify(n)
         assert not report.is_solution
-        assert report.m is None
+        assert (report.k + 1) ** 2 != math.factorial(n) + 1
         assert report.defect != 2 * report.k
         # dual route: direct square test on n! + 1
         f = math.factorial(n)
@@ -87,27 +87,30 @@ def test_theorem_suite_small():
 def test_factor_structure_examples():
     fs = factor_structure(4)
     assert (fs.a, fs.e, fs.b) == (3, 3, 1)
-    assert (fs.half_even, fs.half_pow) == (6, 4)
+    assert (2 * fs.a, fs.b << (fs.e - 1)) == (6, 4)
     fs = factor_structure(5)
     assert (fs.a, fs.e, fs.b) == (5, 3, 3)
-    assert (fs.half_even, fs.half_pow) == (10, 12)
+    assert (2 * fs.a, fs.b << (fs.e - 1)) == (10, 12)
     fs = factor_structure(7)
     assert (fs.a, fs.e, fs.b) == (35, 4, 9)
-    assert (fs.half_even, fs.half_pow) == (70, 72)
+    assert (2 * fs.a, fs.b << (fs.e - 1)) == (70, 72)
 
 
 def test_factor_structure_invariants():
     for n in KNOWN_SOLUTIONS:
         fs = factor_structure(n)
         f = math.factorial(n)
+        k = verify(n).k
+        half_even, half_pow = 2 * fs.a, 2 ** (fs.e - 1) * fs.b
         assert fs.a % 2 == 1 and fs.b % 2 == 1
-        assert fs.half_even == 2 * fs.a
-        assert fs.half_pow == 2 ** (fs.e - 1) * fs.b
-        assert abs(fs.half_even - fs.half_pow) == 2
-        assert fs.half_even * fs.half_pow == f
+        assert half_even % 4 == 2
+        # the two halves are the factors k and k + 2 of n!
+        assert {half_even, half_pow} == {k, k + 2}
+        assert abs(half_even - half_pow) == 2
+        assert half_even * half_pow == f
         # e really is the 2-adic valuation of n!
         assert f % 2**fs.e == 0 and f % 2 ** (fs.e + 1) != 0
-        assert math.gcd(fs.a, fs.half_pow) == 1
+        assert math.gcd(fs.a, half_pow) == 1
 
 
 def test_factor_structure_rejects_non_solution():
@@ -168,13 +171,17 @@ def test_certificate_checker_refuses_mutants():
     assert not is_certificate(-1, 3)
 
 
-def test_solutions_get_no_certificate_and_reach_the_exact_path():
+def test_solutions_get_no_certificate_and_reach_the_exact_path(monkeypatch):
+    import brocard.conditions as conditions
+
     for n, m in KNOWN_SOLUTIONS.items():
         assert legendre_certificate(n) is None
-        assert legendre_certificate(n, 500) is None
-        report = verify(n, certify=CERTIFICATE_PRIMES)
-        assert report.is_solution and report.m == m and report.k == m - 1
+        report = verify(n, certify=True)
+        assert report.is_solution and report.k + 1 == m and report.k == m - 1
         assert report.rejecting_prime is None
+    monkeypatch.setattr(conditions, "CERTIFICATE_PRIMES", 500)
+    for n in KNOWN_SOLUTIONS:
+        assert legendre_certificate(n) is None
 
 
 def test_verify_with_certificate_skips_exact_arithmetic(monkeypatch):
@@ -184,8 +191,8 @@ def test_verify_with_certificate_skips_exact_arithmetic(monkeypatch):
         raise AssertionError("exact arithmetic on the certificate path")
 
     monkeypatch.setattr(conditions, "factorial_exact", refuse)
-    report = verify(10**8, certify=CERTIFICATE_PRIMES)  # far above the ceiling
-    assert not report.is_solution and report.m is None and report.k is None
+    report = verify(10**8, certify=True)  # far above the ceiling
+    assert not report.is_solution and report.k is None and report.defect is None
     assert is_certificate(10**8, report.rejecting_prime)
     # without certify, verify stays exact
     with pytest.raises(AssertionError):
@@ -193,11 +200,14 @@ def test_verify_with_certificate_skips_exact_arithmetic(monkeypatch):
 
 
 def test_verify_falls_back_when_budget_has_no_rejecting_prime(monkeypatch):
-    # an n whose first prime above it does not reject
-    n = next(n for n in range(8, 200) if legendre_certificate(n, 1) is None
+    import brocard.conditions as conditions
+
+    # with a budget of one prime: an n whose first prime above it does not reject
+    monkeypatch.setattr(conditions, "CERTIFICATE_PRIMES", 1)
+    n = next(n for n in range(8, 200) if legendre_certificate(n) is None
              and n not in KNOWN_SOLUTIONS)
-    report = verify(n, certify=1)
+    report = verify(n, certify=True)
     assert report.rejecting_prime is None and report.k == isqrt(math.factorial(n))
     monkeypatch.setattr(factorial_engine, "EXACT_FACTORIAL_CEILING", n - 1)
     with pytest.raises(CeilingError):
-        verify(n, certify=1)
+        verify(n, certify=True)

@@ -129,7 +129,8 @@ def test_nine_run_examples():
     assert _nine_run(7).nine_run == 2  # eps = 0.992...
     assert _nine_run(9).nine_run == 0  # eps = 0.395...
     for n in (4, 5, 7, 9):
-        assert not _nine_run(n).nine_run_is_lower_bound
+        profile = _nine_run(n)
+        assert profile.nine_run < profile.digits_computed
 
 
 def test_nine_run_profile_fields():
@@ -144,15 +145,15 @@ def test_nine_run_cap_reports_lower_bound(monkeypatch):
     monkeypatch.setattr(epsilon_lab, "NINE_RUN_CAP", 1)
     capped = _nine_run(7)
     assert capped.nine_run == 1
-    assert capped.nine_run_is_lower_bound
+    assert capped.nine_run == capped.digits_computed
     monkeypatch.setattr(epsilon_lab, "NINE_RUN_CAP", 2)
     capped = _nine_run(7)
     assert capped.nine_run == 2
-    assert capped.nine_run_is_lower_bound
+    assert capped.nine_run == capped.digits_computed
     monkeypatch.setattr(epsilon_lab, "NINE_RUN_CAP", 3)
     exact = _nine_run(7)
     assert exact.nine_run == 2
-    assert not exact.nine_run_is_lower_bound
+    assert exact.nine_run < exact.digits_computed
 
 
 def test_nine_run_doubles_its_window_up_to_the_cap(monkeypatch):
@@ -161,12 +162,12 @@ def test_nine_run_doubles_its_window_up_to_the_cap(monkeypatch):
     monkeypatch.setattr(epsilon_lab, "NINE_RUN_START", 1)
     doubled = _nine_run(7)
     assert (doubled.nine_run, doubled.digits_computed) == (2, 4)
-    assert not doubled.nine_run_is_lower_bound
+    assert doubled.nine_run < doubled.digits_computed
     # a cap of 2 stops the doubling at 2 digits, both 9s: a lower bound
     monkeypatch.setattr(epsilon_lab, "NINE_RUN_CAP", 2)
     capped = _nine_run(7)
     assert (capped.nine_run, capped.digits_computed) == (2, 2)
-    assert capped.nine_run_is_lower_bound
+    assert capped.nine_run == capped.digits_computed
 
 
 def test_nine_run_respects_bit_budget(monkeypatch):
