@@ -40,11 +40,20 @@ from .search_engine import (
 # command prints the computed k and flags the discrepancy.
 MISQUOTED_K = {8: 26, 11: 6371}
 
-# Exact work on n! (the factorial, then its isqrt) grows much faster than
-# n: `verify` takes 2.0-2.1 s at n = 10**5 and 8.8-9.2 s at 2 * 10**5
-# (three runs each, 2-core x86-64 VM, CPython 3.11). From this n on,
-# `verify`, `epsilon` and `table` say so on stderr first.
+# Exact work on n! (the factorial, its isqrt and their decimal digits)
+# grows about as the square of n!'s digit count: `verify` takes 2.0-2.1 s
+# at n = 10**5 (456574 digits), 8.8-9.2 s at 2 * 10**5 (973351 digits)
+# and took 134-276 s at 10**6 (5565709 digits), on a 2-core x86-64 VM
+# with CPython 3.11; 10**7 (65657060 digits) extrapolates to hours. From
+# this n on, `verify`, `epsilon` and `table` say so on stderr first, with
+# the span of the first row whose digit count n!'s stays below.
 _STALL_NOTICE_N = 200_000
+_STALL_SPANS = ((10**6, "seconds"), (2 * 10**7, "minutes"), (math.inf, "hours"))
+
+# A resume checks the report's solution lines up to the checkpoint, or up
+# to this n, against exact arithmetic: every known solution, n = 4, 5 and
+# 7, lies at or below it, and the scan writes each in its first piece.
+_RESUME_SOLUTIONS_TO = 7
 
 
 class ReportIntegrityError(Exception):
@@ -52,7 +61,8 @@ class ReportIntegrityError(Exception):
 
 
 class ReportFormatError(Exception):
-    """An existing report to be appended to holds a line that is not a report line."""
+    """An existing report to be appended to holds a line that is not a
+    report line, or cannot be the scan's report up to its checkpoint."""
 
 
 class ReportLine(NamedTuple):
@@ -91,26 +101,41 @@ class ReportWriter:
     Opening a file in append mode (the resume path) seeds the counts from
     the lines already present, so the final summary covers the whole
     file, not just the resumed segment. The file must exist: a summary
-    over a missing report would count the resumed segment alone.
+    over a missing report would count the resumed segment alone. Its
+    lines must ascend in n, as the scan writes them.
     """
 
     def __init__(self, stream: IO[str], *, owns_stream: bool) -> None:
         self._stream = stream
         self._owns = owns_stream
         self.kinds: Counter[str] = Counter()
+        # (n, m) of each solution line the report held when opened
+        self.solutions: list[tuple[int, int]] = []
 
     @classmethod
     def open(cls, path: str | None, append: bool = False) -> "ReportWriter":
         if path is None:
             return cls(sys.stdout, owns_stream=False)
         kinds: Counter[str] = Counter()
+        solutions = []
         if append:
+            last = -1
             with open(path, "rb") as fh:
                 for lineno, raw in enumerate(fh, 1):
                     line = raw.strip()
                     if line:
                         try:
-                            kinds[json.loads(line)["kind"]] += 1
+                            record = json.loads(line)
+                            kinds[record["kind"]] += 1
+                            # every line but the summary carries its n
+                            n = record.get("n")
+                            if n is not None:
+                                if n <= last:
+                                    raise ReportFormatError(
+                                        f"{path}: line {lineno} at n={n} does not ascend in n")
+                                last = n
+                            if record["kind"] == "solution":
+                                solutions.append((n, record.get("m")))
                         except (ValueError, TypeError, KeyError):
                             # a kind that is a list or object cannot be counted
                             raise ReportFormatError(
@@ -124,6 +149,7 @@ class ReportWriter:
         stream = open(path, "a" if append else "w", encoding="ascii", newline="")
         writer = cls(stream, owns_stream=True)
         writer.kinds.update(kinds)
+        writer.solutions = solutions
         return writer
 
     def emit(self, line: ReportLine) -> None:
@@ -138,10 +164,24 @@ class ReportWriter:
     def emit_event(self, kind: str, n: int, m: int | None = None,
                    rejecting_prime: int | None = None) -> None:
         """Write one event's line. A "checkpoint" event writes none: it
-        puts a report file on disk before the checkpoint that covers it."""
+        puts a report file on disk before the checkpoint that covers it. A
+        "resume" event writes none either: it refuses a report whose
+        solution lines up to the checkpoint's n, or up to
+        _RESUME_SOLUTIONS_TO, are not those exact arithmetic finds there,
+        since the summary would count what the report holds. Lines past
+        the checkpoint, replays after a crash, are not asked for."""
         if kind == "checkpoint":
             if self._owns:
                 os.fsync(self._stream.fileno())
+            return
+        if kind == "resume":
+            top = min(n, _RESUME_SOLUTIONS_TO)
+            held = [s for s in self.solutions if s[0] <= top]
+            exact = [(k, m) for k in range(top + 1)
+                     if (m := math.isqrt(math.factorial(k) + 1)) ** 2 == math.factorial(k) + 1]
+            if held != exact:
+                raise ReportFormatError(f"{self._stream.name}: holds the solutions {held} "
+                                        f"at n <= {top}, where the scan finds {exact}")
             return
         self.emit(ReportLine(kind=kind, n=n, m=m, rejecting_prime=rejecting_prime))
 
@@ -291,8 +331,9 @@ def _notice_exact_work(command: str, n: int, d: int | None = None) -> None:
     admit_exact(n, d)
     if n >= _STALL_NOTICE_N:
         digits = math.floor(log_factorial(n, 10)) + 1
+        span = next(span for bound, span in _STALL_SPANS if digits < bound)
         print(f"{command}: n={n}: exact arithmetic on n! ({digits} digits), "
-              "this can take minutes", file=sys.stderr, flush=True)
+              f"this can take {span}", file=sys.stderr, flush=True)
 
 
 def _bool_str(flag: bool) -> str:

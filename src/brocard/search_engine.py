@@ -20,20 +20,20 @@ shard itself, up from the scan's start. Every child scans its range down
 from its top with the down set, from n! mod the pool product at that top
 (`seed_state`, from whichever end of the pool is nearer). The stream
 crosses every boundary between layers as n! mod the pool product. Once
-its range is scanned, a child sends back over a pipe one record per
-piece of it, top piece first: the survivors, n! at the piece's top and
-the rejection counts; then n! at its lower cut, reached down from its
-top. The calling process checks that residue against the one reached
-from below, shard 0's last or the previous child's top, so every cut
-checks two streams computed apart. A scan that runs in one shard has
-no cut: its last residue is checked against `seed_state` where it
-stops, from the nearer end of the pool. Every piece checks its front
-against its packed stream (`scan_piece`). The calling process settles
-every survivor, delivers every event and writes every checkpoint, in
-ascending n, exactly as a one-process run would; it reads a child's
-pieces once its own shard is done. While children run, SIGTERM raises
-SystemExit in the calling process, so they are killed and reaped on
-the way out.
+its range is scanned, a child sends back over a pipe one message: n! at
+its lower cut, reached down from its top, then one record per piece of
+its range in ascending order, each the piece's top, its survivors, n!
+at its top and its rejection counts. The calling process checks that
+residue against the one reached from below, shard 0's last or the
+previous child's top, so every cut checks two streams computed apart.
+A scan that runs in one shard has no cut: its last residue is checked
+against `seed_state` where it stops, from the nearer end of the pool.
+Every piece checks its front against its packed stream (`scan_piece`).
+The calling process settles every survivor, delivers every event and
+writes every checkpoint, in ascending n, exactly as a one-process run
+would; it reads a child's message once its own shard is done. While
+children run, SIGTERM raises SystemExit in the calling process, so they
+are killed and reaped on the way out.
 
 Determinism is a hard requirement: for a fixed pool, the reported
 stream, all counters and every checkpoint are identical whether the scan
@@ -90,7 +90,7 @@ class CheckpointError(Exception):
 
 
 class ShardError(Exception):
-    """A forked scan shard raised, died, sent an unreadable record, or
+    """A forked scan shard raised, died, sent an unreadable message, or
     reached its lower cut at a residue other than the one from below."""
 
 
@@ -113,7 +113,7 @@ class SearchSummary(NamedTuple):
     solutions: list[tuple[int, int]]
     survivors: int
     unresolved: list[int]
-    rejections_by_prime: dict[int, int]
+    rejections_by_prime: dict[int, int]  # keyed by prime, ascending
     wall_time_s: float
 
 
@@ -209,16 +209,18 @@ def _drop_event(kind: str, n: int, m: int | None, rejecting_prime: int | None) -
 def run(config: SearchConfig, on_event: EventCallback = _drop_event) -> SearchSummary:
     """Execute (or resume) a scan and return what this segment found.
 
-    Events are delivered in ascending n: ("solution", n, m, None),
-    ("survivor", n, None, q) with q the rejecting prime, or None when exact
-    arithmetic settled n, ("unresolved", n, None, None), and ("checkpoint",
-    n, None, None) just before a checkpoint at n is saved, once every
-    event up to n is delivered. ShardError if a shard child fails or its
-    residue at its lower cut is not the one reached from below; none of
-    that child's range is settled then. StreamError if a piece's front
-    leaves its packed stream, or if a scan run in one shard ends at a
-    residue other than n! where it stops, by `seed_state`; that last
-    segment is then neither settled nor checkpointed.
+    A resumed run first delivers ("resume", n, None, None), n the
+    checkpoint's, before any scan work. Then events are delivered in
+    ascending n: ("solution", n, m, None), ("survivor", n, None, q) with
+    q the rejecting prime, or None when exact arithmetic settled n,
+    ("unresolved", n, None, None), and ("checkpoint", n, None, None) just
+    before a checkpoint at n is saved, once every event up to n is
+    delivered. ShardError if a shard child fails or its residue at its
+    lower cut is not the one reached from below; none of that child's
+    range is settled then. StreamError if a piece's front leaves its
+    packed stream, or if a scan run in one shard ends at a residue other
+    than n! where it stops, by `seed_state`; that last segment is then
+    neither settled nor checkpointed.
     """
     if config.resume and not config.checkpoint_path:
         raise ValueError("resume requires a checkpoint path")
@@ -230,6 +232,8 @@ def run(config: SearchConfig, on_event: EventCallback = _drop_event) -> SearchSu
     stop = config.max_n if config.stop_n is None else min(config.stop_n, config.max_n)
     if stop < start:
         raise ValueError(f"stop_n={config.stop_n} lies below the scan's start n={start}")
+    if config.resume:
+        on_event("resume", start, None, None)
 
     solutions: list[tuple[int, int]] = []
     unresolved: list[int] = []
@@ -298,9 +302,9 @@ def run(config: SearchConfig, on_event: EventCallback = _drop_event) -> SearchSu
             end_piece(hi, *record)
             lo, residue = hi, record[1]
         for child in children:
-            for hi, record in child.pieces(residue):
-                end_piece(hi, *record)
-                residue = record[1]
+            for piece in child.pieces(residue):
+                end_piece(*piece)
+                residue = piece[2]
             child.reap()
     finally:
         for child in children:
@@ -403,36 +407,35 @@ def _scan_shard(pool: PrimePool, tables: list[bytes], lo: int, hi: int,
     """Body of a shard child: scan lo + 1 .. hi down from hi!, the
     `seed_state` at hi, with the inherited down tables as they are.
 
-    Once the range is scanned, writes one marshal record per piece, top
-    piece first, (survivors, n! mod the pool product at its top,
-    rejection counts), then lo! mod the pool product or, if the scan
-    raised, a one-line error message, into write_fd. The parent reads a child's records only once
-    its own shard is done, so a child that wrote as it went would stall
-    on a full pipe until then (64 KB holds about 160 records at max_n
-    10**8). Ends with os._exit, so it never returns or raises into the
-    caller's stack and never flushes stdio buffers inherited from the
-    parent.
+    Once the range is scanned, writes one marshal message into write_fd:
+    (lo! mod the pool product, [(top, survivors, n! mod the pool product
+    at top, rejection counts), ...]) with the pieces ascending, or, if
+    the scan raised, a one-line error message. The parent reads a child's
+    message only once its own shard is done, so a child that wrote as it
+    went would stall on a full pipe until then (64 KB holds about 160
+    pieces at max_n 10**8). Ends with os._exit, so it never returns or
+    raises into the caller's stack and never flushes stdio buffers
+    inherited from the parent.
     """
     code = 1
     try:
         os.close(parent_fd)
-        records: list[object] = []
         try:
             residue = seed_state(pool, hi).residue
             edges = [lo, *_segment_ends(lo, hi)][::-1]
+            pieces = []
             for top, bottom in zip(edges, edges[1:]):
                 survivors, below, counts = scan_piece(pool, tables, top, residue, bottom)
                 # the residue a checkpoint at the piece's top needs
-                records.append((survivors, residue, counts))
+                pieces.append((top, survivors, residue, counts))
                 residue = below
             # lo!, reached down from hi, for the parent to check at the cut
-            records.append(residue)
+            message: object = (residue, pieces[::-1])
             code = 0
         except Exception as exc:
-            records.append(" ".join(f"{type(exc).__name__}: {exc}".split()))
+            message = " ".join(f"{type(exc).__name__}: {exc}".split())
         with open(write_fd, "wb") as pipe:
-            for record in records:
-                marshal.dump(record, pipe)
+            marshal.dump(message, pipe)
     finally:
         os._exit(code)
 
@@ -458,7 +461,7 @@ def _raise_on_sigterm() -> "Callable[[], None] | None":
 
 class _Child:
     """A shard child as its parent sees it: pid and the read end of the
-    pipe its records come on."""
+    pipe its one message comes on."""
 
     def __init__(self, pid: int, pipe: BinaryIO, lo: int, hi: int) -> None:
         self.pid: int | None = pid
@@ -468,30 +471,24 @@ class _Child:
     def _fail(self, reason: str) -> NoReturn:
         raise ShardError(f"scan shard n={self.lo + 1}..{self.hi}: {reason}")
 
-    def receive(self) -> "tuple[list[int], int, dict[int, int]] | int":
-        """The child's next record, a piece or, last, its residue at lo;
-        ShardError if it failed or died first."""
+    def pieces(self, below: int) -> "list[tuple[int, list[int], int, dict[int, int]]]":
+        """(top, survivors, n! mod the pool product at top, rejection
+        counts) for each piece of the child's range, ascending, read in
+        one message, once the child's residue at lo, reached down from its
+        top, is `below`, lo! reached from below; ShardError if it is not,
+        or if the child failed or died first."""
         try:
-            record = marshal.load(self.pipe)
+            message = marshal.load(self.pipe)
         except (EOFError, ValueError, TypeError):
             code = os.waitstatus_to_exitcode(self.reap())
             self._fail((f"killed by signal {-code}" if code < 0 else
                         f"exited with status {code}") + " before sending its result")
-        if isinstance(record, str):
-            self._fail(record)
-        return record
-
-    def pieces(self, below: int) -> Iterator[tuple[int, "tuple[list[int], int, dict[int, int]]"]]:
-        """(top, record) for each piece of the child's range, ascending,
-        once the child's residue at lo, reached down from its top, is
-        `below`, lo! reached from below; ShardError if not. The records
-        come top first, so all of them are read before the first is
-        yielded."""
-        tops = list(_segment_ends(self.lo, self.hi))
-        records = [self.receive() for _ in tops]
-        if self.receive() != below:
+        if isinstance(message, str):
+            self._fail(message)
+        residue, pieces = message
+        if residue != below:
             self._fail(f"its residue at n={self.lo} disagrees with the one from below")
-        return zip(tops, reversed(records))
+        return pieces
 
     def reap(self) -> int:
         _, status = os.waitpid(self.pid, 0)

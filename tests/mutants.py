@@ -134,8 +134,8 @@ MUTANTS = [
            "            if hi == config.max_n and record[1] != seed_state(pool, hi).residue:\n",
            (_T_SH + "test_a_one_shard_scan_is_checked_where_it_stops",)),
     Mutant("shard cut not checked", _SE,
-           "        if self.receive() != below:\n",
-           "        if self.receive() != below and False:\n",
+           "        if residue != below:\n",
+           "        if False:\n",
            (_T_SH + "test_a_child_whose_residue_drifts_fails_at_its_cut",)),
     Mutant("piece front not checked against its packed stream", _QR,
            "    if [r0, r1, r2, r3] != [at % p for p in moduli]:\n",
@@ -143,13 +143,17 @@ MUTANTS = [
            (_T_QR + "test_a_drifting_packed_stream_fails_its_piece[up]",
             _T_QR + "test_a_drifting_packed_stream_fails_its_piece[down]")),
     Mutant("a child's error record taken as a piece", _SE,
-           "        if isinstance(record, str):\n",
+           "        if isinstance(message, str):\n",
            "        if False:\n",
            (_T_SH + "test_failed_child_stops_at_last_finished_segment[first piece-raise]",)),
     Mutant("a child that died is not reported as a failed shard", _SE,
            "        except (EOFError, ValueError, TypeError):\n",
            "        except (ValueError, TypeError):\n",
            (_T_SH + "test_failed_child_stops_at_last_finished_segment[first piece-kill]",)),
+    Mutant("rejections_by_prime left unsorted", _SE,
+           "        rejections_by_prime=dict(sorted(rejections.items())),\n",
+           "        rejections_by_prime=dict(rejections.items()),\n",
+           (_T_SE + "test_rejections_by_prime_ascend_in_the_summary",)),
     Mutant("failed fork leaks its read end", _SE,
            "    except BaseException:\n        os.close(read_fd)\n",
            "    except BaseException:\n",
@@ -242,11 +246,37 @@ MUTANTS = [
            "                    if not raw.endswith(b\"\\n\"):\n",
            "                    if False:\n",
            (_T_CLI + "test_resume_onto_a_line_without_its_line_end_exits_1",)),
+    # a resume into a report that cannot be the scan's (exit 1)
+    Mutant("resume event not delivered", _SE,
+           "        on_event(\"resume\", start, None, None)\n",
+           "        pass\n",
+           (_T_CLI + "test_resume_into_an_empty_report_exits_1",
+            _T_SE + "test_resume_equivalence")),
+    Mutant("report's solution lines not checked on resume", _CLI,
+           "            if held != exact:\n",
+           "            if False:\n",
+           (_T_CLI + "test_resume_into_an_empty_report_exits_1",
+            _T_CLI + "test_resume_into_a_report_without_a_solution_line_exits_1[5]",
+            _T_CLI + "test_resume_into_a_report_without_a_solution_line_exits_1[1000]")),
+    Mutant("a replayed solution line past the checkpoint refused on resume", _CLI,
+           "            held = [s for s in self.solutions if s[0] <= top]\n",
+           "            held = self.solutions\n",
+           (_T_CLI + "test_resume_takes_a_replayed_line_past_the_checkpoint",)),
+    Mutant("report's lines not checked to ascend on resume", _CLI,
+           "                                if n <= last:\n",
+           "                                if False:\n",
+           (_T_CLI + "test_resume_into_a_report_out_of_order_exits_1",)),
     Mutant("report not on disk before its checkpoint", _CLI,
            "                os.fsync(self._stream.fileno())\n",
            "                pass\n",
            (_T_SH + "test_report_reaches_the_disk_before_each_checkpoint[1]",
             _T_SH + "test_report_reaches_the_disk_before_each_checkpoint[2]")),
+    # the exact-work notice (stderr only)
+    Mutant("exact-work notice says minutes at every size", _CLI,
+           "        span = next(span for bound, span in _STALL_SPANS if digits < bound)\n",
+           "        span = \"minutes\"\n",
+           (_T_CLI + "test_exact_notice_scales_with_the_digit_count[200000-973351-seconds]",
+            _T_CLI + "test_exact_notice_scales_with_the_digit_count[10000000-65657060-hours]")),
     # the exit code of each row of cli_reporting._FAILURES
     Mutant("refused arguments exit 2", _CLI,
            "    (_Refused, \"error\", 1),\n",

@@ -151,13 +151,13 @@ def test_resume_of_a_finished_scan_writes_nothing(tmp_path, capsys, max_n):
 
 
 def test_resumed_search_names_the_range_it_scanned(tmp_path, capsys):
-    # a scan stopped at its checkpoint (the report is discarded) and
+    # a scan stopped at its checkpoint (the report loses its summary) and
     # resumed scans only the rest, and says so
     report, ck = tmp_path / "scan.jsonl", tmp_path / "scan.ck"
     args = ["search", "--max-n", "100050", "--checkpoint", str(ck), "--report", str(report)]
     assert dispatch(args) == 0
     assert "scan 2..100050 done:" in capsys.readouterr().err
-    report.write_bytes(b"")
+    report.write_bytes(b"".join(report.read_bytes().splitlines(keepends=True)[:-1]))
     assert dispatch(args + ["--resume"]) == 0
     err = capsys.readouterr().err
     assert err.startswith("scan 100001..100050 done: 0 solution(s), 0 unresolved, ")
@@ -361,10 +361,25 @@ def test_exact_commands_give_notice_past_the_threshold(monkeypatch, capsys, argv
     noisy = capsys.readouterr()
     assert noisy.out == quiet.out
     assert noisy.err == (f"{argv[0]}: n=40: exact arithmetic on n! "
-                         f"({len(str(math.factorial(40)))} digits), this can take minutes\n")
+                         f"({len(str(math.factorial(40)))} digits), this can take seconds\n")
     # past the exact ceiling the command fails at once, with no notice
     assert dispatch(["verify", str(cli_reporting.EXACT_FACTORIAL_CEILING + 1)]) == 2
     assert capsys.readouterr().err.startswith("limit: ")
+
+
+@pytest.mark.parametrize("n,digits,span", [
+    (200_000, 973_351, "seconds"),
+    (205_021, 999_994, "seconds"),
+    (205_022, 1_000_000, "minutes"),
+    (1_000_000, 5_565_709, "minutes"),
+    (10_000_000, 65_657_060, "hours"),
+])
+def test_exact_notice_scales_with_the_digit_count(capsys, n, digits, span):
+    # the wording follows n!'s digit count: 973351 digits took 9 s, 5565709
+    # took minutes, and 65657060 (the exact ceiling) extrapolates to hours
+    cli_reporting._notice_exact_work("verify", n)
+    assert capsys.readouterr().err == (
+        f"verify: n={n}: exact arithmetic on n! ({digits} digits), this can take {span}\n")
 
 
 def test_polysys_cli(capsys):
@@ -440,6 +455,96 @@ def test_resume_onto_a_line_without_its_line_end_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == f"report: {report}: line {len(lines) - 1} has no line end\n"
     assert report.read_bytes() == cut
+
+
+def _resume_refused(capsys, args, report, ck):
+    """Resume refused with exit 1 and one `report:` line, before any scan
+    work, leaving the report and the checkpoint as they were."""
+    before = report.read_bytes(), ck.read_bytes()
+    capsys.readouterr()
+    assert dispatch(args + ["--resume"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and err.startswith(f"report: {report}: ")
+    assert (report.read_bytes(), ck.read_bytes()) == before
+    return err
+
+
+def test_resume_into_an_empty_report_exits_1(tmp_path, capsys, monkeypatch):
+    # the report of a scan stopped at 150000 of 200000 lost its lines: the
+    # summary of a resume would deny n = 4, 5 and 7
+    from brocard import search_engine
+    from brocard.search_engine import SearchConfig, run
+
+    ck, report = tmp_path / "a.ck", tmp_path / "b.jsonl"
+    run(SearchConfig(max_n=200_000, checkpoint_path=str(ck), stop_n=150_000))
+    report.write_bytes(b"")
+    monkeypatch.setattr(search_engine, "scan_piece", lambda *args: pytest.fail("scanned"))
+    err = _resume_refused(capsys, ["search", "--max-n", "200000", "--primes", "48",
+                                   "--checkpoint", str(ck), "--report", str(report)],
+                          report, ck)
+    assert err == (f"report: {report}: holds the solutions [] at n <= 7, "
+                   "where the scan finds [(4, 5), (5, 11), (7, 71)]\n")
+
+
+@pytest.mark.parametrize("stop_n,top,held,found", [
+    (5, 5, "[(4, 5)]", "[(4, 5), (5, 11)]"),
+    (1000, 7, "[(4, 5), (7, 71)]", "[(4, 5), (5, 11), (7, 71)]"),
+], ids=["5", "1000"])
+def test_resume_into_a_report_without_a_solution_line_exits_1(tmp_path, capsys, stop_n,
+                                                              top, held, found):
+    # the line of n = 5 is gone; a checkpoint at 5 needs it as one past 7
+    # does, and a replayed line past the checkpoint is not asked for
+    from brocard.search_engine import SearchConfig, run
+
+    ck, report = tmp_path / "scan.ck", tmp_path / "scan.jsonl"
+    writer = ReportWriter.open(str(report))
+    run(SearchConfig(max_n=3000, checkpoint_path=str(ck), stop_n=stop_n),
+        on_event=writer.emit_event)
+    writer.close()
+    args = ["search", "--max-n", "3000", "--checkpoint", str(ck), "--report", str(report)]
+    whole = report.read_bytes()
+    report.write_bytes(whole.replace(b'{"kind":"solution","n":5,"m":11}\n', b""))
+    err = _resume_refused(capsys, args, report, ck)
+    assert err.endswith(f"holds the solutions {held} at n <= {top}, "
+                        f"where the scan finds {found}\n")
+    report.write_bytes(whole)
+    assert dispatch(args + ["--resume"]) == 0
+
+
+def test_resume_takes_a_replayed_line_past_the_checkpoint(tmp_path, capsys):
+    # a crash after the line of n = 7 but before the checkpoint past it
+    # leaves that line past the checkpoint at 5: the resume accepts it
+    from brocard.search_engine import SearchConfig, run
+
+    ck, report = tmp_path / "scan.ck", tmp_path / "scan.jsonl"
+    writer = ReportWriter.open(str(report))
+    run(SearchConfig(max_n=3000, checkpoint_path=str(ck), stop_n=5),
+        on_event=writer.emit_event)
+    writer.close()
+    replayed = report.read_bytes() + b'{"kind":"solution","n":7,"m":71}\n'
+    report.write_bytes(replayed)
+    assert dispatch(["search", "--max-n", "3000", "--checkpoint", str(ck),
+                     "--report", str(report), "--resume"]) == 0
+    assert report.read_bytes().startswith(replayed)
+    capsys.readouterr()
+
+
+def test_resume_into_a_report_out_of_order_exits_1(tmp_path, capsys):
+    from brocard.search_engine import SearchConfig, run
+
+    ck, report = tmp_path / "scan.ck", tmp_path / "scan.jsonl"
+    writer = ReportWriter.open(str(report))
+    run(SearchConfig(max_n=3000, pool_size=2, checkpoint_path=str(ck), stop_n=1000),
+        on_event=writer.emit_event)
+    writer.close()
+    lines = report.read_bytes().splitlines(keepends=True)
+    assert len(lines) > 5
+    report.write_bytes(b"".join(lines[:3] + [lines[4], lines[3]] + lines[5:]))
+    err = _resume_refused(capsys, ["search", "--max-n", "3000", "--primes", "2",
+                                   "--checkpoint", str(ck), "--report", str(report)],
+                          report, ck)
+    n = json.loads(lines[3])["n"]
+    assert err == f"report: {report}: line 5 at n={n} does not ascend in n\n"
 
 
 def test_semantic_usage_errors(capsys):

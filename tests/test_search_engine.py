@@ -371,8 +371,11 @@ def test_resume_equivalence(tmp_path, monkeypatch):
     assert part2.resumed_from == 500
     assert part2.scanned_range == (501, 1000)
 
-    # the stopped run saves one more checkpoint than the uninterrupted one,
+    # the resumed run names its checkpoint's n before any other event; the
+    # stopped run saves one more checkpoint than the uninterrupted one,
     # which saves none, and each save comes with its event
+    assert events2[0] == ("resume", 500, None)
+    events2 = events2[1:]
     checkpoints = [event for event in events1 + events2 if event[0] == "checkpoint"]
     assert checkpoints == [("checkpoint", 500, None), ("checkpoint", 1000, None)]
     assert [event for event in events1 + events2 if event[0] != "checkpoint"] == full_events
@@ -382,6 +385,15 @@ def test_resume_equivalence(tmp_path, monkeypatch):
     for p, c in part2.rejections_by_prime.items():
         merged[p] = merged.get(p, 0) + c
     assert merged == full_summary.rejections_by_prime
+
+
+def test_rejections_by_prime_ascend_in_the_summary(monkeypatch):
+    # on a 10-n grid a prime of a later rank first rejects in an earlier
+    # piece than one of a lower rank, so the counts come in out of pool
+    # order; the summary lists its primes ascending all the same
+    monkeypatch.setattr(search_engine, "CHECKPOINT_INTERVAL", 10)
+    summary = run(SearchConfig(max_n=3000, pool_size=8))
+    assert list(summary.rejections_by_prime) == list(build_prime_pool(3000, 8).primes)
 
 
 def test_resume_missing_checkpoint_errors(tmp_path):
