@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import os
 import sys
 from collections import Counter
@@ -95,68 +96,71 @@ def _check_survivor_line(line: ReportLine) -> None:
         raise ReportIntegrityError(f"rejecting_prime does not certify the survivor: {line}")
 
 
+def _check_line(line: ReportLine) -> None:
+    if line.kind == "solution":
+        _check_solution_line(line)
+    elif line.kind == "survivor" and line.rejecting_prime is not None:
+        _check_survivor_line(line)
+
+
 class ReportWriter:
     """Incremental JSONL writer with a running count of lines per kind.
 
     Opening a file in append mode (the resume path) seeds the counts from
-    the lines already present, so the final summary covers the whole
-    file, not just the resumed segment. The file must exist: a summary
-    over a missing report would count the resumed segment alone. Its
-    lines must ascend in n, as the scan writes them.
+    the lines already present, and a "resume" event cuts the report back
+    to its checkpoint and counts the lines it keeps, so the final summary
+    covers the whole file, not just the resumed segment. The file must
+    exist: a summary over a missing report would count the resumed
+    segment alone. Its lines must ascend in n, as the scan writes them.
     """
 
     def __init__(self, stream: IO[str], *, owns_stream: bool) -> None:
         self._stream = stream
         self._owns = owns_stream
         self.kinds: Counter[str] = Counter()
-        # (n, m) of each solution line the report held when opened
-        self.solutions: list[tuple[int, int]] = []
+        # (n, byte offset of its end, line) of each line the report held
+        # when opened; n is infinite for a line past every checkpoint (a
+        # summary, or a torn line, whose line is None)
+        self._lines: list[tuple[float, int, ReportLine | None]] = []
 
     @classmethod
     def open(cls, path: str | None, append: bool = False) -> "ReportWriter":
         if path is None:
             return cls(sys.stdout, owns_stream=False)
         kinds: Counter[str] = Counter()
-        solutions = []
+        lines = []
         if append:
-            last = -1
             with open(path, "rb") as fh:
                 for lineno, raw in enumerate(fh, 1):
-                    line = raw.strip()
-                    if line:
-                        try:
-                            record = json.loads(line)
-                            kinds[record["kind"]] += 1
-                            # every line but the summary carries its n
-                            n = record.get("n")
-                            if n is not None:
-                                if n <= last:
-                                    raise ReportFormatError(
-                                        f"{path}: line {lineno} at n={n} does not ascend in n")
-                                last = n
-                            if record["kind"] == "solution":
-                                solutions.append((n, record.get("m")))
-                        except (ValueError, TypeError, KeyError):
-                            # a kind that is a list or object cannot be counted
-                            raise ReportFormatError(
-                                f"{path}: line {lineno} is not a report line: {line[:40]!r}"
-                            ) from None
                     # A torn write leaves a prefix of a line, which may itself
-                    # be valid JSON: a whole line without its line end. The
-                    # next line would be appended onto it.
+                    # be valid JSON: a line without its line end. No
+                    # checkpoint covers it.
                     if not raw.endswith(b"\n"):
-                        raise ReportFormatError(f"{path}: line {lineno} has no line end")
+                        lines.append((math.inf, fh.tell(), None))
+                    elif raw.strip():
+                        try:
+                            line = ReportLine(**json.loads(raw))
+                            # a kind that is a list or object cannot be counted
+                            kinds[line.kind] += 1
+                            # every line but the summary, the last, carries its
+                            # n, an int
+                            at = math.inf if line.n is None else operator.index(line.n)
+                            if at <= (lines[-1][0] if lines else -1):
+                                raise ReportFormatError(
+                                    f"{path}: line {lineno} at n={line.n} does not ascend in n")
+                        except (ValueError, TypeError):
+                            raise ReportFormatError(
+                                f"{path}: line {lineno} is not a report line: {raw[:40]!r}"
+                            ) from None
+                        lines.append((at, fh.tell(), line))
         stream = open(path, "a" if append else "w", encoding="ascii", newline="")
         writer = cls(stream, owns_stream=True)
         writer.kinds.update(kinds)
-        writer.solutions = solutions
+        writer._lines = lines
         return writer
 
     def emit(self, line: ReportLine) -> None:
-        if line.kind == "solution":
-            _check_solution_line(line)
-        elif line.kind == "survivor" and line.rejecting_prime is not None:
-            _check_survivor_line(line)
+        _check_line(line)
         self.kinds[line.kind] += 1
         self._stream.write(render_line(line) + "\n")
         self._stream.flush()
@@ -164,24 +168,41 @@ class ReportWriter:
     def emit_event(self, kind: str, n: int, m: int | None = None,
                    rejecting_prime: int | None = None) -> None:
         """Write one event's line. A "checkpoint" event writes none: it
-        puts a report file on disk before the checkpoint that covers it. A
-        "resume" event writes none either: it refuses a report whose
-        solution lines up to the checkpoint's n, or up to
-        _RESUME_SOLUTIONS_TO, are not those exact arithmetic finds there,
-        since the summary would count what the report holds. Lines past
-        the checkpoint, replays after a crash, are not asked for."""
+        puts a report file on disk before the checkpoint that covers it.
+
+        A "resume" event writes none either. It takes the lines the
+        report held up to the checkpoint's n, all of which reached the
+        disk before the checkpoint did, and refuses them unless their
+        solution lines up to n, or up to _RESUME_SOLUTIONS_TO, are those
+        exact arithmetic finds there and every solution and certified
+        survivor line passes its re-check, since the summary counts what
+        the report holds. Then, and only then, it cuts the report back to
+        those lines: what lies past them, replays and a torn last line,
+        the resumed scan writes again."""
         if kind == "checkpoint":
             if self._owns:
                 os.fsync(self._stream.fileno())
             return
         if kind == "resume":
+            kept: list[ReportLine] = [line for at, _, line in self._lines if at <= n]
             top = min(n, _RESUME_SOLUTIONS_TO)
-            held = [s for s in self.solutions if s[0] <= top]
+            held = [(s.n, s.m) for s in kept if s.kind == "solution" and s.n <= top]
             exact = [(k, m) for k in range(top + 1)
                      if (m := math.isqrt(math.factorial(k) + 1)) ** 2 == math.factorial(k) + 1]
             if held != exact:
                 raise ReportFormatError(f"{self._stream.name}: holds the solutions {held} "
                                         f"at n <= {top}, where the scan finds {exact}")
+            try:
+                for line in kept:
+                    _check_line(line)
+            except ReportIntegrityError as exc:
+                raise ReportFormatError(f"{self._stream.name}: {exc}") from None
+            cut = self._lines[len(kept):]
+            if cut:
+                self._stream.truncate(self._lines[len(kept) - 1][1] if kept else 0)
+                print(f"search: {self._stream.name}: cut {len(cut)} line(s) past the checkpoint at "
+                      f"n={n}{'' if cut[-1][2] else ', the last one torn'}", file=sys.stderr)
+            self.kinds = Counter(line.kind for line in kept)
             return
         self.emit(ReportLine(kind=kind, n=n, m=m, rejecting_prime=rejecting_prime))
 

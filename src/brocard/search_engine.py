@@ -7,9 +7,13 @@ prime above n that rejects it (a Legendre certificate, reported with the
 survivor), else an exact verdict; a survivor with neither, beyond the
 exact-verification ceiling, is reported UNRESOLVED rather than silently
 dropped. Every scan is cut into pieces on the `CHECKPOINT_INTERVAL`
-grid: at each grid point the survivors so far are settled and reported,
-and, given a path, progress is checkpointed to a small text file so a
-scan can be killed and resumed without rework.
+grid and at its shard cuts. The survivors of each piece are settled and
+reported as it comes in, and, given a path, progress is checkpointed at
+each grid point to a small text file so a scan can be killed and resumed
+without rework. What was reported past the last checkpoint is
+provisional: a resume from that checkpoint reports it again, and the
+report writer (`cli_reporting.ReportWriter`) cuts it from the report
+first.
 
 A long range is cut into shards, one per available core. The calling
 process builds the kernel's nonresidue tables and, when the scan forks,
@@ -215,12 +219,15 @@ def run(config: SearchConfig, on_event: EventCallback = _drop_event) -> SearchSu
     q the rejecting prime, or None when exact arithmetic settled n,
     ("unresolved", n, None, None), and ("checkpoint", n, None, None) just
     before a checkpoint at n is saved, once every event up to n is
-    delivered. ShardError if a shard child fails or its residue at its
-    lower cut is not the one reached from below; none of that child's
-    range is settled then. StreamError if a piece's front leaves its
-    packed stream, or if a scan run in one shard ends at a residue other
-    than n! where it stops, by `seed_state`; that last segment is then
-    neither settled nor checkpointed.
+    delivered. Events after the last "checkpoint" event are provisional:
+    a resume from that checkpoint delivers them again. ShardError if a
+    shard child fails or its residue at its lower cut is not the one
+    reached from below; none of that child's range is settled then, but
+    the part of the checkpoint segment below its cut may be. StreamError
+    if a piece's front leaves its packed stream, or if a scan run in one
+    shard ends at a residue other than n! where it stops, by
+    `seed_state`; that last segment is then neither settled nor
+    checkpointed.
     """
     if config.resume and not config.checkpoint_path:
         raise ValueError("resume requires a checkpoint path")
@@ -254,23 +261,16 @@ def run(config: SearchConfig, on_event: EventCallback = _drop_event) -> SearchSu
         else:
             on_event("survivor", n, None, report.rejecting_prime)
 
-    pending: list[int] = []
     rejections: Counter[int] = Counter()
 
     def end_piece(hi: int, found: list[int], residue: int, counts: dict[int, int]) -> None:
-        """Take the survivors, end residue and rejection counts of the
-        piece of the scan ending at hi. A checkpoint segment that a shard
-        cut splits is settled and checkpointed only once its last piece
-        is in."""
+        """Settle the survivors of the piece of the scan ending at hi and
+        take its rejection counts; checkpoint at hi if it is on the grid
+        or where the scan stops below max_n, never at a shard cut."""
         rejections.update(counts)
-        pending.extend(found)
-        if hi % CHECKPOINT_INTERVAL and hi != stop:
-            return
-        for n in pending:
+        for n in found:
             settle_survivor(n)
-        pending.clear()
-        # a checkpoint at max_n off the grid is never written
-        if config.checkpoint_path and (hi % CHECKPOINT_INTERVAL == 0 or hi < config.max_n):
+        if config.checkpoint_path and (hi % CHECKPOINT_INTERVAL == 0 or hi == stop < config.max_n):
             # what the checkpoint covers goes to disk before it does
             on_event("checkpoint", hi, None, None)
             save_checkpoint(FactorialState(n=hi, residue=residue), pool,

@@ -154,6 +154,11 @@ MUTANTS = [
            "        rejections_by_prime=dict(sorted(rejections.items())),\n",
            "        rejections_by_prime=dict(rejections.items()),\n",
            (_T_SE + "test_rejections_by_prime_ascend_in_the_summary",)),
+    Mutant("checkpoint written at a shard cut", _SE,
+           "hi % CHECKPOINT_INTERVAL == 0 or hi == stop < config.max_n):\n",
+           "hi % CHECKPOINT_INTERVAL == 0 or hi < config.max_n):\n",
+           (_T_SH + "test_checkpoints_only_on_the_grid_or_at_stop[to max_n]",
+            _T_SH + "test_checkpoints_only_on_the_grid_or_at_stop[stopped off the grid]")),
     Mutant("failed fork leaks its read end", _SE,
            "    except BaseException:\n        os.close(read_fd)\n",
            "    except BaseException:\n",
@@ -239,13 +244,9 @@ MUTANTS = [
            (_T_CLI + "test_emit_report_rechecks_rejecting_primes",
             _T_CLI + "test_a_survivor_whose_prime_is_not_its_certificate_exits_2")),
     Mutant("report to resume into may hold a line that is not JSON", _CLI,
-           "                        except (ValueError, TypeError, KeyError):\n",
-           "                        except (TypeError, KeyError):\n",
-           (_T_CLI + "test_resume_with_torn_report_line_exits_1",)),
-    Mutant("report to resume into may end in a torn line", _CLI,
-           "                    if not raw.endswith(b\"\\n\"):\n",
-           "                    if False:\n",
-           (_T_CLI + "test_resume_onto_a_line_without_its_line_end_exits_1",)),
+           "                        except (ValueError, TypeError):\n",
+           "                        except TypeError:\n",
+           (_T_CLI + "test_a_refused_resume_cuts_nothing[not JSON]",)),
     # a resume into a report that cannot be the scan's (exit 1)
     Mutant("resume event not delivered", _SE,
            "        on_event(\"resume\", start, None, None)\n",
@@ -257,15 +258,48 @@ MUTANTS = [
            "            if False:\n",
            (_T_CLI + "test_resume_into_an_empty_report_exits_1",
             _T_CLI + "test_resume_into_a_report_without_a_solution_line_exits_1[5]",
-            _T_CLI + "test_resume_into_a_report_without_a_solution_line_exits_1[1000]")),
-    Mutant("a replayed solution line past the checkpoint refused on resume", _CLI,
-           "            held = [s for s in self.solutions if s[0] <= top]\n",
-           "            held = self.solutions\n",
-           (_T_CLI + "test_resume_takes_a_replayed_line_past_the_checkpoint",)),
+            _T_CLI + "test_resume_into_a_report_without_a_solution_line_exits_1[1000]",
+            _T_CLI + "test_a_refused_resume_cuts_nothing[solution line missing]")),
     Mutant("report's lines not checked to ascend on resume", _CLI,
-           "                                if n <= last:\n",
-           "                                if False:\n",
+           "                            if at <= (lines[-1][0] if lines else -1):\n",
+           "                            if False:\n",
            (_T_CLI + "test_resume_into_a_report_out_of_order_exits_1",)),
+    Mutant("report line's n not checked to be an int on resume", _CLI,
+           "                            at = math.inf if line.n is None else operator.index(line.n)\n",
+           "                            at = math.inf if line.n is None else line.n\n",
+           (_T_CLI + "test_a_refused_resume_cuts_nothing[n not an int]",)),
+    Mutant("kept lines not re-checked on resume", _CLI,
+           "                    _check_line(line)\n",
+           "                    pass\n",
+           (_T_CLI + "test_a_refused_resume_cuts_nothing[solution line forged]",
+            _T_CLI + "test_a_refused_resume_cuts_nothing[certificate forged]")),
+    # the cut of a resumed report back to its checkpoint
+    Mutant("the cut skipped on resume", _CLI,
+           "                self._stream.truncate(self._lines[len(kept) - 1][1] if kept else 0)\n",
+           "                pass\n",
+           (_T_CLI + "test_resume_cuts_replayed_lines[on the grid]",
+            _T_CLI + "test_resume_cuts_replayed_lines[off the grid]",
+            _T_CLI + "test_resume_cuts_a_torn_report_line",
+            _T_SH + "test_a_search_killed_before_its_checkpoint_resumes_exactly[1]",
+            _T_SH + "test_a_search_killed_before_its_checkpoint_resumes_exactly[2]",
+            _T_SH + "test_failed_child_stops_at_last_finished_segment[last piece-raise]")),
+    Mutant("the cut made before the checks pass", _CLI,
+           "            kept: list[ReportLine] = [line for at, _, line in self._lines if at <= n]\n",
+           "            kept: list[ReportLine] = [line for at, _, line in self._lines if at <= n]\n"
+           "            self._stream.truncate(self._lines[len(kept) - 1][1] if kept else 0)\n",
+           (_T_CLI + "test_a_refused_resume_cuts_nothing[solution line missing]",
+            _T_CLI + "test_a_refused_resume_cuts_nothing[solution line forged]",
+            _T_CLI + "test_a_refused_resume_cuts_nothing[certificate forged]")),
+    Mutant("a torn last line kept on resume", _CLI,
+           "                        lines.append((math.inf, fh.tell(), None))\n",
+           "                        pass\n",
+           (_T_CLI + "test_resume_cuts_a_torn_report_line",
+            _T_CLI + "test_resume_cuts_a_line_without_its_line_end")),
+    Mutant("the summary counts the lines the cut removed", _CLI,
+           "            self.kinds = Counter(line.kind for line in kept)\n",
+           "            pass\n",
+           (_T_CLI + "test_resume_cuts_replayed_lines[on the grid]",
+            _T_SH + "test_a_search_killed_before_its_checkpoint_resumes_exactly[2]")),
     Mutant("report not on disk before its checkpoint", _CLI,
            "                os.fsync(self._stream.fileno())\n",
            "                pass\n",
@@ -290,7 +324,7 @@ MUTANTS = [
     Mutant("unreadable report to resume into exits 2", _CLI,
            "    (ReportFormatError, \"report\", 1),\n",
            "    (ReportFormatError, \"report\", 2),\n",
-           (_T_CLI + "test_resume_onto_a_line_without_its_line_end_exits_1",)),
+           (_T_CLI + "test_a_refused_resume_cuts_nothing[not JSON]",)),
     Mutant("refused checkpoint exits 2", _CLI,
            "    (CheckpointError, \"checkpoint\", 3),\n",
            "    (CheckpointError, \"checkpoint\", 2),\n",

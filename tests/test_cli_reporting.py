@@ -423,38 +423,94 @@ def test_usage_error_resume_without_report(tmp_path, capsys):
     assert not ck.exists()
 
 
-def test_resume_with_torn_report_line_exits_1(tmp_path, capsys):
-    report, ck = tmp_path / "scan.jsonl", str(tmp_path / "scan.ck")
+# An 8-prime scan to 20000 on a 5000-n grid: about one n in 2^8 survives,
+# so every grid segment holds report lines that a resume can replay.
+_SCAN = ["search", "--max-n", "20000", "--primes", "8"]
+
+
+def _clean_and_stopped(tmp_path, monkeypatch, stop_n):
+    """The report and final checkpoint bytes of the uninterrupted `_SCAN`,
+    and the report and checkpoint paths of the same scan stopped at
+    stop_n, as a `search` killed right after that checkpoint leaves them."""
+    from brocard import search_engine
+    from brocard.search_engine import SearchConfig, run
+
+    monkeypatch.setattr(search_engine, "CHECKPOINT_INTERVAL", 5000)
+    clean, clean_ck = tmp_path / "clean.jsonl", tmp_path / "clean.ck"
+    assert dispatch(_SCAN + ["--checkpoint", str(clean_ck), "--report", str(clean)]) == 0
+    report, ck = tmp_path / "scan.jsonl", tmp_path / "scan.ck"
+    writer = ReportWriter.open(str(report))
+    run(SearchConfig(20000, 8, str(ck), stop_n=stop_n), writer.emit_event)
+    writer.close()
+    return (clean.read_bytes(), clean_ck.read_bytes()), report, ck
+
+
+def _lines_past(report_bytes, lo, hi):
+    """The lines of a report with lo < n <= hi."""
+    return [raw for raw in report_bytes.splitlines(keepends=True)
+            if lo < json.loads(raw).get("n", math.inf) <= hi]
+
+
+def _resumed(capsys, report, ck):
+    """Resume `_SCAN` into report from ck; its stderr."""
+    capsys.readouterr()
+    assert dispatch(_SCAN + ["--checkpoint", str(ck), "--report", str(report),
+                             "--resume"]) == 0
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stop_n", [10000, 12345], ids=["on the grid", "off the grid"])
+def test_resume_cuts_replayed_lines(tmp_path, monkeypatch, capsys, stop_n):
+    # a crash after the lines past the checkpoint but before the next one:
+    # the resume cuts them, scans them again and ends with the bytes of
+    # the uninterrupted scan, summary included
+    clean, report, ck = _clean_and_stopped(tmp_path, monkeypatch, stop_n)
+    replays = _lines_past(clean[0], stop_n, stop_n + 3000)
+    assert len(replays) > 5
+    report.write_bytes(report.read_bytes() + b"".join(replays))
+    err = _resumed(capsys, report, ck)
+    assert err.startswith(f"search: {report}: cut {len(replays)} line(s) past the "
+                          f"checkpoint at n={stop_n}\nscan {stop_n + 1}..20000 done: ")
+    assert (report.read_bytes(), ck.read_bytes()) == clean
+
+
+def test_resume_cuts_a_torn_report_line(tmp_path, monkeypatch, capsys):
+    # killed mid-write: replays, then a prefix of the next line
+    clean, report, ck = _clean_and_stopped(tmp_path, monkeypatch, 10000)
+    replays = _lines_past(clean[0], 10000, 13000)
+    torn = _lines_past(clean[0], 13000, 20000)[0][:7]
+    report.write_bytes(report.read_bytes() + b"".join(replays) + torn)
+    err = _resumed(capsys, report, ck)
+    assert err.startswith(f"search: {report}: cut {len(replays) + 1} line(s) past the "
+                          "checkpoint at n=10000, the last one torn\nscan 10001..20000 done: ")
+    assert (report.read_bytes(), ck.read_bytes()) == clean
+
+    # with no checkpoint to resume from, a torn summary stays as it was
+    report, ck = tmp_path / "short.jsonl", str(tmp_path / "short.ck")
     args = ["search", "--max-n", "1000", "--primes", "8", "--checkpoint", ck,
             "--report", str(report)]
     assert dispatch(args) == 0
     lines = report.read_bytes().splitlines(keepends=True)
-    torn = b"".join(lines[:-1]) + lines[-1][:7]  # killed mid-write
+    torn = b"".join(lines[:-1]) + lines[-1][:7]
     report.write_bytes(torn)
     capsys.readouterr()
-    assert dispatch(args + ["--resume"]) == 1
+    assert dispatch(args + ["--resume"]) == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    assert f"{report}: line {len(lines)} is not a report line" in err
+    assert err.startswith("io: ") and err.count("\n") == 1 and "short.ck" in err
     assert report.read_bytes() == torn
 
 
-def test_resume_onto_a_line_without_its_line_end_exits_1(tmp_path, capsys):
+def test_resume_cuts_a_line_without_its_line_end(tmp_path, monkeypatch, capsys):
     # a killed writer can leave a whole line without its "\n": valid JSON,
-    # onto which the resumed scan would append its next line
-    report, ck = tmp_path / "scan.jsonl", str(tmp_path / "scan.ck")
-    args = ["search", "--max-n", "1000", "--primes", "8", "--checkpoint", ck,
-            "--report", str(report)]
-    assert dispatch(args) == 0
-    lines = report.read_bytes().splitlines(keepends=True)
-    cut = b"".join(lines[:-1])[:-1]  # the summary gone, and the line end before it
-    json.loads(cut.splitlines()[-1])
-    report.write_bytes(cut)
-    capsys.readouterr()
-    assert dispatch(args + ["--resume"]) == 1
-    err = capsys.readouterr().err
-    assert err == f"report: {report}: line {len(lines) - 1} has no line end\n"
-    assert report.read_bytes() == cut
+    # onto which the resumed scan would otherwise append its next line
+    clean, report, ck = _clean_and_stopped(tmp_path, monkeypatch, 10000)
+    whole = _lines_past(clean[0], 10000, 20000)[0][:-1]
+    json.loads(whole)
+    report.write_bytes(report.read_bytes() + whole)
+    err = _resumed(capsys, report, ck)
+    assert err.startswith(f"search: {report}: cut 1 line(s) past the checkpoint at "
+                          "n=10000, the last one torn\n")
+    assert (report.read_bytes(), ck.read_bytes()) == clean
 
 
 def _resume_refused(capsys, args, report, ck):
@@ -493,7 +549,7 @@ def test_resume_into_an_empty_report_exits_1(tmp_path, capsys, monkeypatch):
 def test_resume_into_a_report_without_a_solution_line_exits_1(tmp_path, capsys, stop_n,
                                                               top, held, found):
     # the line of n = 5 is gone; a checkpoint at 5 needs it as one past 7
-    # does, and a replayed line past the checkpoint is not asked for
+    # does
     from brocard.search_engine import SearchConfig, run
 
     ck, report = tmp_path / "scan.ck", tmp_path / "scan.jsonl"
@@ -513,7 +569,8 @@ def test_resume_into_a_report_without_a_solution_line_exits_1(tmp_path, capsys, 
 
 def test_resume_takes_a_replayed_line_past_the_checkpoint(tmp_path, capsys):
     # a crash after the line of n = 7 but before the checkpoint past it
-    # leaves that line past the checkpoint at 5: the resume accepts it
+    # leaves that line past the checkpoint at 5: the resume cuts it and
+    # writes it again
     from brocard.search_engine import SearchConfig, run
 
     ck, report = tmp_path / "scan.ck", tmp_path / "scan.jsonl"
@@ -545,6 +602,57 @@ def test_resume_into_a_report_out_of_order_exits_1(tmp_path, capsys):
                           report, ck)
     n = json.loads(lines[3])["n"]
     assert err == f"report: {report}: line 5 at n={n} does not ascend in n\n"
+
+
+def _insert_at(n, line):
+    """An edit that puts line before the first report line past n."""
+    def edit(lines):
+        at = next(i for i, raw in enumerate(lines) if json.loads(raw)["n"] > n)
+        return lines[:at] + [line] + lines[at:]
+    return edit
+
+
+def _forge_a_certificate(lines):
+    at = next(i for i, raw in enumerate(lines) if b"rejecting_prime" in raw)
+    return lines[:at] + [re.sub(rb":\d+}", b":3}", lines[at])] + lines[at + 1:]
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda lines: [raw for raw in lines if raw != b'{"kind":"solution","n":5,"m":11}\n'],
+     "holds the solutions [(4, 5), (7, 71)] at n <= 7, "
+     "where the scan finds [(4, 5), (5, 11), (7, 71)]\n"),
+    (_insert_at(500, b'{"kind":"solution","n":500,"m":1}\n'),
+     "solution line fails m^2 == n! + 1: ReportLine(kind='solution', n=500, m=1, "
+     "rejecting_prime=None, counters=None)\n"),
+    (_forge_a_certificate, "rejecting_prime does not certify the survivor: "
+     "ReportLine(kind='survivor', n="),
+    (_insert_at(7, b"not JSON\n"), "line 4 is not a report line: b'not JSON\\n'\n"),
+    (_insert_at(7, b'{"kind":"survivor","n":7.5}\n'), "line 4 is not a report line: "),
+], ids=["solution line missing", "solution line forged", "certificate forged", "not JSON",
+        "n not an int"])
+def test_a_refused_resume_cuts_nothing(tmp_path, monkeypatch, capsys, edit, message):
+    # the lines up to the checkpoint are re-checked before anything past
+    # it, replays and a torn line, is cut: a refused resume leaves the
+    # report and the checkpoint as they were
+    clean, report, ck = _clean_and_stopped(tmp_path, monkeypatch, 10000)
+    lines = edit(report.read_bytes().splitlines(keepends=True))
+    report.write_bytes(b"".join(lines + _lines_past(clean[0], 10000, 13000)) + b'{"kind":"s')
+    err = _resume_refused(capsys, _SCAN + ["--checkpoint", str(ck), "--report", str(report)],
+                          report, ck)
+    assert err.startswith(f"report: {report}: {message}")
+
+
+def test_a_refused_checkpoint_cuts_nothing(tmp_path, monkeypatch, capsys):
+    clean, report, ck = _clean_and_stopped(tmp_path, monkeypatch, 10000)
+    report.write_bytes(report.read_bytes() + b"".join(_lines_past(clean[0], 10000, 13000))
+                       + b'{"kind":"s')
+    ck.write_bytes(ck.read_bytes().replace(b"\nn=10000\n", b"\nn=10001\n"))
+    before = report.read_bytes(), ck.read_bytes()
+    capsys.readouterr()
+    assert dispatch(_SCAN + ["--checkpoint", str(ck), "--report", str(report),
+                             "--resume"]) == 3
+    assert capsys.readouterr().err == f"checkpoint: {ck}: checksum line missing or wrong\n"
+    assert (report.read_bytes(), ck.read_bytes()) == before
 
 
 def test_semantic_usage_errors(capsys):

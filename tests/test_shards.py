@@ -14,13 +14,14 @@ import time
 import pytest
 
 from brocard import factorial_engine, search_engine
-from brocard.cli_reporting import dispatch
+from brocard.cli_reporting import ReportWriter, dispatch
 from brocard.factorial_engine import build_prime_pool
 from brocard.qr_filter import table_ranks
 from brocard.search_engine import SearchConfig, ShardError, StreamError, run
 
 _SAVE = search_engine.save_checkpoint
 _FORK = search_engine._fork_shard
+_SCAN_PIECE = search_engine.scan_piece
 
 
 def _force_shards(monkeypatch, count):
@@ -56,6 +57,18 @@ def _scan(monkeypatch, config, shards):
     summary = run(config, on_event=lambda *event: log.append(event))
     assert len(pids) == shards - 1
     return summary._replace(wall_time_s=0.0), log
+
+
+def _report_of(path, monkeypatch, config, shards):
+    """Scan, or resume, into the report at path as `search` does; the
+    bytes of the report and of the checkpoint the scan leaves."""
+    _force_shards(monkeypatch, shards)
+    writer = ReportWriter.open(str(path), append=config.resume)
+    run(config, on_event=writer.emit_event)
+    writer.write_summary(config.max_n - 1)
+    writer.close()
+    with open(config.checkpoint_path, "rb") as fh:
+        return path.read_bytes(), fh.read()
 
 
 def _assert_reaped(pids):
@@ -454,6 +467,22 @@ _CUT = search_engine._shard_bounds(0, 3000, 2, build_prime_pool(3000, 2).primes[
 _SPLIT_END = _CUT // 100 * 100 + 100
 
 
+def _out_before_the_cut(clean):
+    """What a 2-shard scan whose child fails leaves of the one-process
+    scan's log `clean`: every event and checkpoint up to the last
+    checkpoint below the cut, then the events of shard 0's part of the
+    segment the cut splits, which a resume from that checkpoint delivers
+    again."""
+    last_checkpoint = _CUT // 100 * 100
+    checkpoints = [entry for entry in clean if isinstance(entry, bytes)]
+    upto = clean.index(checkpoints[last_checkpoint // 100 - 1]) + 1
+    assert _checkpoint_positions(clean[:upto])[-1] == last_checkpoint
+    provisional = [event for event in clean[upto:]
+                   if not isinstance(event, bytes) and event[1] <= _CUT]
+    assert provisional and clean[upto + len(provisional)][1] > _CUT
+    return clean[:upto] + provisional
+
+
 def test_a_child_whose_residue_drifts_fails_at_its_cut(tmp_path, monkeypatch):
     # The child's residue at its lower cut, reached down from its top, is
     # checked against shard 0's, reached up from 1. A drifting packed
@@ -483,10 +512,7 @@ def test_a_child_whose_residue_drifts_fails_at_its_cut(tmp_path, monkeypatch):
                                "disagrees with the one from below")
     _assert_reaped(pids)
     # nothing of the child's range is out, as with a child that fails
-    last_checkpoint = _CUT // 100 * 100
-    checkpoints = [entry for entry in clean if isinstance(entry, bytes)]
-    assert _checkpoint_positions(log)[-1] == last_checkpoint
-    assert log == clean[:clean.index(checkpoints[last_checkpoint // 100 - 1]) + 1]
+    assert log == _out_before_the_cut(clean)
 
 
 def _drift_one_shard_at(monkeypatch, stop):
@@ -539,13 +565,22 @@ def test_failed_child_stops_at_last_finished_segment(tmp_path, monkeypatch, how,
     ck = str(tmp_path / "scan.ck")
     monkeypatch.setattr(search_engine, "CHECKPOINT_INTERVAL", 100)
     config = SearchConfig(max_n=3000, pool_size=2, checkpoint_path=ck)
+    clean_report = _report_of(tmp_path / "clean.jsonl", monkeypatch, config, 1)
     _, clean = _scan(monkeypatch, config, 1)
 
     _force_shards(monkeypatch, 2)
     log, pids = _record(monkeypatch)
     _fail_in_child(monkeypatch, at, how)
+    report = tmp_path / "scan.jsonl"
+    writer = ReportWriter.open(str(report))
+
+    def on_event(*event):
+        log.append(event)
+        writer.emit_event(*event)
+
     with pytest.raises(ShardError) as info:
-        run(config, on_event=lambda *event: log.append(event))
+        run(config, on_event=on_event)
+    writer.close()
     assert str(info.value) == f"scan shard n={_CUT + 1}..3000: " + {
         "raise": "RuntimeError: injected fault",
         "kill": "killed by signal 9 before sending its result",
@@ -553,14 +588,13 @@ def test_failed_child_stops_at_last_finished_segment(tmp_path, monkeypatch, how,
     _assert_reaped(pids)
     # The child scans down, so its range comes out only once its last
     # piece, the one at the cut, is in: whether it fails at its first
-    # piece or its last, nothing of its range is out, nor what shard 0
-    # found in the first half of the segment the cut splits. Either way
-    # the output is everything up to shard 0's last finished segment,
-    # once, and nothing past it.
-    last_checkpoint = _CUT // 100 * 100
-    checkpoints = [entry for entry in clean if isinstance(entry, bytes)]
-    assert _checkpoint_positions(log)[-1] == last_checkpoint
-    assert log == clean[:clean.index(checkpoints[last_checkpoint // 100 - 1]) + 1]
+    # piece or its last, nothing of its range is out. What shard 0 found
+    # in the first half of the segment the cut splits is out, past the
+    # last checkpoint, so a resume from there cuts it from the report and
+    # ends with the bytes of the uninterrupted scan.
+    assert log == _out_before_the_cut(clean)
+    monkeypatch.setattr(search_engine, "scan_piece", _SCAN_PIECE)
+    assert _report_of(report, monkeypatch, config._replace(resume=True), 2) == clean_report
 
 
 def test_cli_exits_2_on_a_failed_child_and_resumes_exactly(tmp_path, monkeypatch, capsys):
@@ -582,6 +616,42 @@ def test_cli_exits_2_on_a_failed_child_and_resumes_exactly(tmp_path, monkeypatch
     assert _cli_search("--checkpoint", ck, "--report", str(report),
                        "--resume") == 0
     assert report.read_bytes() == clean.read_bytes()
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_a_search_killed_before_its_checkpoint_resumes_exactly(tmp_path, monkeypatch, capsys,
+                                                               shards):
+    # killed once the lines of the grid segment past the shard cut are
+    # out, but before its checkpoint: a resume cuts those lines, scans
+    # the segment again and ends with the bytes of the uninterrupted scan
+    monkeypatch.setattr(search_engine, "CHECKPOINT_INTERVAL", 5000)
+    scan = ["search", "--max-n", "20000", "--primes", "8"]
+    clean, clean_ck = tmp_path / "clean.jsonl", tmp_path / "clean.ck"
+    assert dispatch(scan + ["--checkpoint", str(clean_ck), "--report", str(clean)]) == 0
+    cut = search_engine._shard_bounds(0, 20000, 2, build_prime_pool(20000, 8).primes[-1])[1]
+    killed_at = cut // 5000 * 5000 + 5000
+
+    def killed(state, pool, path):
+        if state.n == killed_at:
+            raise KeyboardInterrupt
+        _SAVE(state, pool, path)
+
+    _force_shards(monkeypatch, shards)
+    report, ck = tmp_path / "scan.jsonl", tmp_path / "scan.ck"
+    scan += ["--checkpoint", str(ck), "--report", str(report)]
+    with monkeypatch.context() as m:
+        m.setattr(search_engine, "save_checkpoint", killed)
+        with pytest.raises(KeyboardInterrupt):
+            dispatch(scan)
+    held = report.read_bytes()
+    replays = [raw for raw in held.splitlines() if json.loads(raw)["n"] > killed_at - 5000]
+    assert len(replays) > 10 and clean.read_bytes().startswith(held)
+    capsys.readouterr()
+    assert dispatch(scan + ["--resume"]) == 0
+    assert capsys.readouterr().err.startswith(
+        f"search: {report}: cut {len(replays)} line(s) past the checkpoint at "
+        f"n={killed_at - 5000}\nscan {killed_at - 4999}..20000 done: ")
+    assert (report.read_bytes(), ck.read_bytes()) == (clean.read_bytes(), clean_ck.read_bytes())
 
 
 def test_interrupt_in_parent_kills_and_reaps_children(tmp_path, monkeypatch):
